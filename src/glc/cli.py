@@ -13,9 +13,9 @@ configuration is echoed into every report.  Per-cell seeds derive from
 SHA-256 of (master seed, setting, rate), so adding cells never reshuffles
 existing ones and any cell can be reproduced in isolation.
 
-``GLC_THREADS`` caps how many sweep cells run in parallel (default 1,
-serial).  Exit codes: 0 success, 1 configuration error, 2 I/O error,
-3 numerical abort during training.
+``GLC_THREADS`` caps how many sweep cells run in parallel processes (a
+positive integer; default 1, serial).  Exit codes: 0 success,
+1 configuration error, 2 I/O error, 3 numerical abort during training.
 """
 
 import argparse
@@ -155,7 +155,10 @@ def load_config(args):
             cfg[key] = value
     rates = getattr(args, "rates", None)
     if rates is not None:
-        cfg["rates"] = [float(r) for r in str(rates).split(",") if r != ""]
+        try:
+            cfg["rates"] = [float(r) for r in str(rates).split(",") if r != ""]
+        except ValueError as err:
+            raise ConfigError(f"bad --rates list {rates!r}: {err}") from err
     if cfg["setting"] not in SETTINGS:
         raise ConfigError(f"unknown setting {cfg['setting']!r}")
     if cfg["ablation"] not in ABLATIONS:
@@ -409,17 +412,29 @@ def _cell_worker(payload):
                           "exit_code": code}}
 
 
+def _cell_workers():
+    """How many cells run in parallel processes, from ``GLC_THREADS``."""
+    text = os.environ.get("GLC_THREADS", "1")
+    try:
+        workers = int(text)
+    except ValueError:
+        workers = 0
+    if workers < 1:
+        raise ConfigError(f"GLC_THREADS must be a positive integer, got {text!r}")
+    return workers
+
+
 def _run_cells(cfg, cells, out_root):
     """Run (setting, rate, ablation) cells, honoring GLC_THREADS.
 
     Returns the per-cell result dicts plus the overall exit code (0 when
     every cell succeeded, otherwise the largest per-cell code).
     """
+    workers = _cell_workers()
     jobs = []
     for setting, rate, ablation in cells:
         sub = out_root / "cells" / f"{setting}_{rate:g}_{ablation}"
         jobs.append((cfg, setting, rate, ablation, str(sub)))
-    workers = int(os.environ.get("GLC_THREADS", "1"))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=min(workers, len(jobs))) as pool:
             results = list(pool.map(_cell_worker, jobs))

@@ -7,11 +7,15 @@ Two graph constructions drive the objectives:
   per anchor become positives and the least-similar become negatives;
 * per view pair, Gaussian kernels on the co-available features whose
   product propagates neighborhood structure across views; its diagonal
-  weights the same-sample positive pairs of the local contrastive loss.
+  gives one weight per same-sample positive pair of the local
+  contrastive loss.
 
-The kernel weights are treated as constants (no gradient flows through
-them); gradients flow only through the similarity entries that the pair
-sets select, never through set membership itself.
+The propagated-diagonal weights enter the local loss only as the constant
+``-sum_i log w_i``, computed in log space, so they shift its value and
+change no gradient.  Pair selection picks each anchor's partners by a
+partition, ordered as a stable full sort would order them.  Gradients
+flow only through the similarity entries that the pair sets select, never
+through set membership itself.
 """
 
 import logging
@@ -115,6 +119,28 @@ class PairSets:
         return np.repeat(np.arange(n), k), self.positives.reshape(-1)
 
 
+def _first_k(key, k):
+    """The first ``k`` columns of a stable row-wise argsort of ``key``.
+
+    A partition finds each row's k smallest keys and a plain sort orders
+    them; that order is the stable one unless a row has an exact tie among
+    its k smallest or at the k-th value, and only those rows are sorted
+    again in full, stably (lower index first).
+    """
+    part = np.argpartition(key, k - 1, axis=1)[:, :k]
+    vals = np.take_along_axis(key, part, axis=1)
+    order = np.argsort(vals, axis=1)
+    first = np.take_along_axis(part, order, axis=1)
+    vals = np.take_along_axis(vals, order, axis=1)
+    kth = vals[:, -1:]
+    # "not strictly increasing" also catches NaN and inf - inf
+    tied = ~(np.diff(vals, axis=1) > 0.0).all(axis=1)
+    tied |= (key <= kth).sum(axis=1) > k
+    if tied.any():
+        first[tied] = np.argsort(key[tied], axis=1, kind="stable")[:, :k]
+    return first
+
+
 def select_pairs(graph, pos_percent, neg_percent):
     """Pick each anchor's most/least similar partners by percentage.
 
@@ -145,15 +171,13 @@ def select_pairs(graph, pos_percent, neg_percent):
     sims = graph.sims.data
     desc_key = -sims
     np.fill_diagonal(desc_key, np.inf)          # push self past every candidate
-    order = np.argsort(desc_key, axis=1, kind="stable")
-    positives = order[:, :n_pos]
+    positives = _first_k(desc_key, n_pos)
 
     asc_key = sims.copy()
     rows = np.arange(n)[:, None]
     asc_key[rows, positives] = np.inf           # positives leave the pool
     np.fill_diagonal(asc_key, np.inf)
-    order = np.argsort(asc_key, axis=1, kind="stable")
-    negatives = order[:, :n_neg]
+    negatives = _first_k(asc_key, n_neg)
 
     return PairSets(positives=positives, negatives=negatives,
                     pos_percent=float(pos_percent),
@@ -212,12 +236,27 @@ def local_affinity(h_u, h_v, sigma):
     return np.exp(-_sqdist(a, b) / sigma)
 
 
+def _gram_sqdist(a, b):
+    """Pairwise squared distances ||a||^2 + ||b||^2 - 2ab^T, clamped at 0.
+
+    One BLAS product; rounding can differ from :func:`_sqdist` in the
+    last digits, and the clamp removes the small negatives it can leave.
+    """
+    d = (a * a).sum(axis=1)[:, None] + (b * b).sum(axis=1)[None, :]
+    d -= 2.0 * (a @ b.T)
+    return np.maximum(d, 0.0, out=d)
+
+
+def _median_width(sq):
+    med = float(np.median(sq))
+    return med if med > 0.0 else 1.0
+
+
 def median_sigma(h_u, h_v):
     """Median of all squared cross-view distances; 1.0 if the median is 0."""
     a = h_u.data if isinstance(h_u, Tensor) else np.asarray(h_u, dtype=np.float64)
     b = h_v.data if isinstance(h_v, Tensor) else np.asarray(h_v, dtype=np.float64)
-    med = float(np.median(_sqdist(a, b)))
-    return med if med > 0.0 else 1.0
+    return _median_width(_sqdist(a, b))
 
 
 def high_order_graph(w_uv, w_vv):
@@ -309,11 +348,17 @@ def lwc_total(h_list, co_available, temperature, sigma="median",
     """Sum the weighted loss over all unordered view pairs.
 
     ``co_available`` maps (u, v) with u < v to the pair's local row
-    indices.  Per pair and per batch, the kernels are rebuilt from the
-    current features: sigma comes from the median heuristic (or a fixed
-    value), the cross- and within-view kernels share it, and only the
-    propagated diagonal is materialized.  Pairs with fewer than 2 common
-    samples are skipped with a warning.
+    indices.  Per pair and per batch the weights come from the current
+    features: sigma is the median squared cross-view distance (or a fixed
+    value), and row i's propagated-diagonal weight is
+    ``w_i = sum_j exp(-(d_uv[i, j] + d_vv[i, j]) / sigma)``, the diagonal
+    of :func:`high_order_graph` on the two Gaussian kernels.  It is taken
+    in log space, ``log w_i = logsumexp_j(-(d_uv + d_vv) / sigma)``, so no
+    sigma can underflow it.  The weights enter the loss only as the
+    constant ``-sum_i log w_i``: they shift the value and change no
+    gradient.  ``normalize_weights`` divides them by their max, which
+    shifts that constant again.  Pairs with fewer than 2 common samples
+    are skipped with a warning.
     """
     total = Tensor(0.0)
     n_views = len(h_list)
@@ -328,14 +373,15 @@ def lwc_total(h_list, co_available, temperature, sigma="median",
                 continue
             a = nn.take_rows(_as_tensor(h_list[u]), rows_u)
             b = nn.take_rows(_as_tensor(h_list[v]), rows_v)
-            if sigma == "median":
-                s = median_sigma(a.data, b.data)
-            else:
-                s = float(sigma)
-            w_uv = local_affinity(a.data, b.data, s)
-            w_vv = local_affinity(b.data, b.data, s)
-            diag = high_order_diag(w_uv, w_vv)
+            d_uv = _gram_sqdist(a.data, b.data)
+            s = _median_width(d_uv) if sigma == "median" else float(sigma)
+            if s <= 0.0:
+                raise ConfigError("sigma must be positive")
+            x = (d_uv + _gram_sqdist(b.data, b.data)) / -s
+            peak = x.max(axis=1)
+            log_w = peak + np.log(np.exp(x - peak[:, None]).sum(axis=1))
             if normalize_weights:
-                diag = diag / diag.max()
-            total = nn.add(total, lwc_loss(a, b, diag, temperature))
+                log_w = log_w - log_w.max()
+            total = nn.add(total, _cross_view_contrast(
+                a, b, temperature, log_weights=log_w))
     return total

@@ -9,15 +9,19 @@ what dense MLPs, affinity graphs and log-sum-exp contrastive losses need;
 log-sum-exp subtracts the row maximum so large similarity/temperature
 ratios cannot overflow.
 
-A tape is meant for a single forward/backward cycle.  ``backward`` releases
-the watched parameters afterwards, so reusing the same parameter tensors on
-a fresh tape (the normal training-step pattern) never leaks nodes, and
-forward passes without a tape record nothing.
+A tape is meant for a single forward/backward cycle.  ``backward`` detaches
+the watched parameters and every recorded node from the tape afterwards,
+so reusing the same parameter tensors on a fresh tape (the normal
+training-step pattern) never leaks nodes, a step's activations are freed by
+reference counting as soon as the step drops them, and forward passes
+without a tape record nothing.
 
 Matrix products go through numpy's BLAS.  Those kernels are deterministic
-for a fixed environment; set ``GLC_THREADS=1`` (exported before numpy is
-loaded, e.g. via OMP_NUM_THREADS) if bit-stable timings across machines
-with different BLAS thread pools matter.
+for a fixed environment and BLAS thread count; the thread count comes from
+the BLAS library's own variables (``OPENBLAS_NUM_THREADS``,
+``OMP_NUM_THREADS``, ...), exported before numpy is loaded.
+``GLC_THREADS`` does not touch it: it only sets how many sweep cells the
+command line runs in parallel processes.
 """
 
 import math
@@ -394,8 +398,8 @@ def backward(tape, loss):
 
     Returns a dict keyed by the parameter tensors; parameters that do not
     influence the loss get zero gradients.  The tape's watched parameters
-    are released afterwards, so subsequent tape-less forward passes record
-    nothing.
+    and recorded nodes are released afterwards, so subsequent tape-less
+    forward passes record nothing.
     """
     if not isinstance(loss, Tensor) or loss.tape is not tape:
         raise ValueError("loss was not computed on this tape")
@@ -418,6 +422,10 @@ def backward(tape, loss):
         g = grads.get(id(param))
         result[param] = np.zeros_like(param.data) if g is None else np.asarray(g)
         param.tape = None
+    # nodes point back at the tape that lists them; cutting that link lets
+    # reference counting free the step, without waiting for the cyclic GC
+    for node in tape._nodes:
+        node.tape = None
     return result
 
 

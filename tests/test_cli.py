@@ -107,6 +107,30 @@ def test_exit_code_numeric_abort(tmp_path, fast_cfg):
     assert code == 3
 
 
+def test_tiny_fixed_sigma_trains(tmp_path, fast_cfg):
+    # the lwc weights are taken in log space, so a kernel width far below
+    # every feature distance cannot underflow them into a numeric abort
+    cfg = json.loads(Path(fast_cfg).read_text())
+    cfg["sigma"] = 1e-5
+    tiny = tmp_path / "tiny_sigma.json"
+    tiny.write_text(json.dumps(cfg))
+    assert main(["train", "--dataset", SPEC, "--profile", "desk",
+                 "--config", str(tiny), "--out", str(tmp_path / "o")]) == 0
+
+
+def test_exit_code_bad_rates_list(tmp_path):
+    assert main(["sweep", "--dataset", SPEC, "--rates", "0.1,abc",
+                 "--out", str(tmp_path)]) == 1
+
+
+def test_exit_code_bad_glc_threads(tmp_path, fast_cfg, monkeypatch):
+    monkeypatch.setenv("GLC_THREADS", "x")
+    assert main(["sweep", "--dataset", SPEC, "--profile", "desk",
+                 "--config", fast_cfg, "--rates", "0.3",
+                 "--out", str(tmp_path / "s")]) == 1
+    assert not (tmp_path / "s" / "cells").exists()
+
+
 def test_exit_code_success(tmp_path, fast_cfg):
     assert main(_train_args(tmp_path / "run", fast_cfg)) == 0
 

@@ -15,7 +15,7 @@ from glc.graphs import (GlobalAffinityGraph, PairSets, build_global_graph,
                         ggc_loss, high_order_diag, high_order_graph,
                         local_affinity, lwc_loss, lwc_total, median_sigma,
                         pairwise_contrastive_loss, select_pairs)
-from glc.nn import Tape, Tensor, backward, grad_check
+from glc.nn import Tape, Tensor, backward, grad_check, take_rows
 
 
 # ---------------------------------------------------------------------------
@@ -187,6 +187,36 @@ def test_select_matches_oracle_sweep():
         want_pos, want_neg = oracle_select(g.sims.data, pos_pct, neg_pct)
         np.testing.assert_array_equal(pairs.positives, want_pos, f"seed {seed}")
         np.testing.assert_array_equal(pairs.negatives, want_neg, f"seed {seed}")
+
+
+def test_select_matches_oracle_on_a_large_graph_with_ties():
+    # about 300 rows: duplicated rows and a block of identical rows put
+    # exact ties both inside the selected sets and at their edges
+    rng = np.random.default_rng(20)
+    x = rng.normal(size=(300, 5))
+    x[10:40] = x[0:30]
+    x[200:230] = x[200]
+    g = _graph_from_features(x)
+    for pos_pct, neg_pct in ((1.0, 50.0), (12.5, 60.0)):
+        pairs = select_pairs(g, pos_pct, neg_pct)
+        want_pos, want_neg = oracle_select(g.sims.data, pos_pct, neg_pct)
+        np.testing.assert_array_equal(pairs.positives, want_pos)
+        np.testing.assert_array_equal(pairs.negatives, want_neg)
+
+        # the fixture does what it is for: some anchor's first unselected
+        # candidate ties the last selected one, for both sets
+        rows = np.arange(300)
+        sims = g.sims.data
+        n_pos = want_pos.shape[1]
+        desc = np.sort(np.where(np.eye(300, dtype=bool), -np.inf, sims),
+                       axis=1)[:, ::-1]
+        assert (desc[:, n_pos - 1] == desc[:, n_pos]).any()
+        rest = sims.copy()
+        rest[rows[:, None], want_pos] = np.inf
+        np.fill_diagonal(rest, np.inf)
+        asc = np.sort(rest, axis=1)
+        n_neg = want_neg.shape[1]
+        assert (asc[:, n_neg - 1] == asc[:, n_neg]).any()
 
 
 def test_select_scale_invariance_exact():
@@ -503,6 +533,45 @@ def test_lwc_total_normalized_weights_peak_at_one():
     # exactly n * log(max)
     np.testing.assert_allclose(normed - raw, 5 * math.log(diag.max()),
                                rtol=1e-10)
+
+
+def test_lwc_total_tiny_sigma_stays_finite():
+    # the weights are taken in log space: a width far below every distance
+    # no longer underflows them
+    rng = np.random.default_rng(21)
+    h = [rng.normal(size=(6, 3)) for _ in range(3)]
+    value = float(lwc_total(h, _pair_index(h), 0.5, sigma=1e-5).data)
+    assert math.isfinite(value)
+
+
+def test_lwc_total_weights_change_no_gradient():
+    # the weights are constants: any sigma gives the gradient of the
+    # unweighted cross-view loss summed over the same co-available rows
+    rng = np.random.default_rng(22)
+    h = [Tensor(rng.normal(size=(7, 3))) for _ in range(3)]
+    co = {(0, 1): (np.array([0, 2, 3, 5]), np.array([0, 2, 3, 5])),
+          (0, 2): (np.arange(7), np.arange(7)),
+          (1, 2): (np.array([1, 4, 6]), np.array([1, 4, 6]))}
+
+    def grads(build):
+        tape = Tape()
+        for t in h:
+            tape.watch(t)
+        return backward(tape, build())
+
+    def unweighted():
+        total = Tensor(0.0)
+        for (u, v), (ru, rv) in co.items():
+            total = total + pairwise_contrastive_loss(
+                take_rows(h[u], ru), take_rows(h[v], rv), 0.5)
+        return total
+
+    want = grads(unweighted)
+    for sigma in ("median", 1e-5):
+        got = grads(lambda: lwc_total(h, co, 0.5, sigma=sigma))
+        for t in h:
+            np.testing.assert_allclose(got[t], want[t], rtol=1e-12,
+                                       atol=1e-12)
 
 
 def test_lwc_total_gradient_stops_at_weights():

@@ -1,5 +1,8 @@
 """Tensor/tape core: op gradients, MLP forward, Adam, grad_check."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -112,6 +115,28 @@ def test_backward_releases_watched_params():
     # a fresh forward pass without a tape must not record anything
     out = mul(x, x)
     assert out.tape is None
+
+
+def test_backward_frees_the_step_without_the_cyclic_collector():
+    # after backward no recorded node points back at its tape, so reference
+    # counting frees a step's activations as soon as the step drops them
+    x = Tensor(np.array([[1.0, 2.0], [3.0, 4.0]]))
+
+    def step():
+        tape = Tape()
+        tape.watch(x)
+        hidden = relu(matmul(x, x))
+        backward(tape, tsum(mul(hidden, hidden)))
+        return weakref.ref(hidden.data)
+
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        probe = step()
+        assert probe() is None
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_broadcast_add_gradient_unbroadcasts():
