@@ -6,6 +6,7 @@ features and a locally weighted cross-view term), mean-fuses the learned
 features over each sample's available views and clusters them with k-means.
 """
 
+from .config import Config
 from .data import (MultiViewDataset, apply_combined, derive_seed,
                    generate_missing_mask, inject_noise, iter_epoch,
                    load_dataset, make_synthetic, sample_batch, save_dataset,
@@ -20,7 +21,7 @@ from .model import (forward_views, init_model, load_checkpoint,
                     model_parameters, reconstruction_loss, save_checkpoint)
 from .nn import (AdamState, Mlp, Tape, Tensor, adam_step, backward,
                  grad_check, mlp_forward)
-from .pipeline import (ClusterReport, TrainConfig, TrainHistory, build_model,
+from .pipeline import (ClusterReport, TrainHistory, build_model,
                        evaluate, fuse_features, infer_features, kmeans,
                        pretrain, total_loss, train)
 
@@ -40,7 +41,7 @@ __all__ = [
     "reconstruction_loss", "save_checkpoint",
     "AdamState", "Mlp", "Tape", "Tensor", "adam_step", "backward",
     "grad_check", "mlp_forward",
-    "ClusterReport", "TrainConfig", "TrainHistory", "build_model", "evaluate",
+    "ClusterReport", "Config", "TrainHistory", "build_model", "evaluate",
     "fuse_features", "infer_features", "kmeans", "pretrain", "total_loss",
     "train",
 ]

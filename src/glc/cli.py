@@ -8,7 +8,8 @@ Subcommands:
 * ``ablate``   the three objective variants on identical data and seeds.
 
 Configuration comes from built-in defaults, overlaid by a JSON config file
-(``--config``, flat keys), overlaid by explicit flags.  The fully resolved
+(``--config``, flat keys), overlaid by explicit flags, and is checked once,
+as a :class:`glc.config.Config`, before any cell runs.  The fully resolved
 configuration is echoed into every report.  Per-cell seeds derive from
 SHA-256 of (master seed, setting, rate), so adding cells never reshuffles
 existing ones and any cell can be reproduced in isolation.
@@ -27,58 +28,26 @@ import shutil
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
 
+from .config import (ABLATIONS, PROFILES, SETTINGS, Config,
+                     parse_synthetic_spec)
 from .data import (MANIFEST_NAME, MultiViewDataset, apply_combined,
                    derive_seed, generate_missing_mask, inject_noise,
-                   load_dataset, make_synthetic, save_dataset)
+                   load_dataset, make_synthetic, read_manifest, save_dataset)
 from .errors import ConfigError, DataFormatError, GlcError, NumericError
 from .model import save_checkpoint
-from .pipeline import (TrainConfig, TrainHistory, evaluate, build_model,
-                       pretrain, train)
+from .pipeline import TrainHistory, evaluate, build_model, pretrain, train
 
 logger = logging.getLogger(__name__)
 
-SCHEMA_VERSION = 1
-SETTINGS = ("clean", "incomplete", "noise", "combined")
-ABLATIONS = ("rec", "rec+ggc", "full")
+SCHEMA_VERSION = 2
 
-DEFAULTS = {
-    "dataset": None,
-    "setting": "clean",
-    "rate": 0.0,
-    "rates": None,
-    "settings": None,
-    "noise_std": 0.4,
-    "alpha": 0.1,
-    "beta": 1.0,
-    "tau": 0.5,
-    "pos": 1.0,
-    "neg": 50.0,
-    "sigma": "median",
-    "lr": 1e-3,
-    "batch": 256,
-    "profile": "paper",
-    "hidden": None,
-    "latent_dim": None,
-    "head_dim": None,
-    "pretrain_epochs": None,
-    "epochs": None,
-    "seed": 0,
-    "out": "runs/out",
-    "ablation": "full",
-    "ablations": None,
-    "include_positive_in_denominator": False,
-    "normalize_weights": False,
-    "eval_every": 0,
-    "kmeans_restarts": 10,
-    "eval_seeds": 5,
-    "fuse_space": "contrast",
-    "eval_protocol": "kmeans",   # or "retrain": retrain per evaluation seed
-    "synthetic": None,           # dict form of a synthetic dataset spec
-}
+# every config key with its default, as a plain dict
+DEFAULTS = asdict(Config())
 
 
 class _Parser(argparse.ArgumentParser):
@@ -108,7 +77,7 @@ def build_parser():
         p.add_argument("--pos", type=float)
         p.add_argument("--neg", type=float)
         p.add_argument("--batch", type=int)
-        p.add_argument("--profile", choices=sorted(PROFILE_NAMES))
+        p.add_argument("--profile", choices=sorted(PROFILES))
 
     p = sub.add_parser("prepare", help="materialize a corrupted dataset")
     common(p)
@@ -128,46 +97,30 @@ def build_parser():
     return parser
 
 
-PROFILE_NAMES = ("paper", "desk")
-
-
 def load_config(args):
-    """defaults <- config file <- explicit flags."""
-    cfg = dict(DEFAULTS)
+    """defaults <- config file <- explicit flags, checked once as a Config."""
+    values = {}
     path = getattr(args, "config", None)
     if path:
         try:
-            text = Path(path).read_text(encoding="utf-8")
-        except OSError:
-            raise
-        try:
-            overlay = json.loads(text)
-        except json.JSONDecodeError as err:
+            values = json.loads(Path(path).read_text(encoding="utf-8"))
+        except ValueError as err:
             raise ConfigError(f"{path}: {err}") from err
-        unknown = set(overlay) - set(DEFAULTS)
-        if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        cfg.update(overlay)
+        if not isinstance(values, dict):
+            raise ConfigError(f"{path}: the top level must be a JSON object")
     for key in ("dataset", "setting", "rate", "noise_std", "seed", "out",
                 "alpha", "beta", "tau", "pos", "neg", "batch", "profile"):
         value = getattr(args, key, None)
         if value is not None:
-            cfg[key] = value
+            values[key] = value
     rates = getattr(args, "rates", None)
     if rates is not None:
         try:
-            cfg["rates"] = [float(r) for r in str(rates).split(",") if r != ""]
+            values["rates"] = [float(r) for r in str(rates).split(",") if r != ""]
         except ValueError as err:
             raise ConfigError(f"bad --rates list {rates!r}: {err}") from err
-    if cfg["setting"] not in SETTINGS:
-        raise ConfigError(f"unknown setting {cfg['setting']!r}")
-    if cfg["ablation"] not in ABLATIONS:
-        raise ConfigError(f"unknown ablation {cfg['ablation']!r}")
-    if cfg["eval_protocol"] not in ("kmeans", "retrain"):
-        raise ConfigError("eval_protocol must be 'kmeans' or 'retrain'")
-    if not 0.0 <= float(cfg["rate"]) <= 1.0:
-        raise ConfigError("rate must lie in [0, 1]")
-    if cfg["dataset"] is None and cfg["synthetic"] is None:
+    cfg = Config.from_dict(values)
+    if cfg.dataset is None and cfg.synthetic is None:
         raise ConfigError("a dataset (path or synthetic spec) is required")
     return cfg
 
@@ -176,42 +129,14 @@ def load_config(args):
 # dataset resolution
 # ---------------------------------------------------------------------------
 
-def parse_synthetic_spec(text):
-    """Parse ``synthetic:n=300,v=3,k=3,dims=12|10|8,sep=2.0,noise=1.0``."""
-    body = text.split(":", 1)[1] if ":" in text else ""
-    spec = {}
-    for item in filter(None, body.split(",")):
-        if "=" not in item:
-            raise ConfigError(f"bad synthetic spec item {item!r}")
-        key, value = item.split("=", 1)
-        spec[key.strip()] = value.strip()
-    out = {}
-    try:
-        out["n_samples"] = int(spec.pop("n", 300))
-        out["n_views"] = int(spec.pop("v", 2))
-        out["n_classes"] = int(spec.pop("k", 3))
-        if "dims" in spec:
-            out["dims"] = [int(d) for d in spec.pop("dims").split("|")]
-        out["separation"] = float(spec.pop("sep", 5.0))
-        if "noise" in spec:
-            out["view_noise"] = float(spec.pop("noise"))
-        if "seed" in spec:
-            out["seed"] = int(spec.pop("seed"))
-    except ValueError as err:
-        raise ConfigError(f"bad synthetic spec: {err}") from err
-    if spec:
-        raise ConfigError(f"unknown synthetic spec keys: {sorted(spec)}")
-    return out
-
-
 def resolve_dataset(cfg, master_seed):
     """Load a dataset directory or generate the configured synthetic one."""
-    source = cfg["dataset"]
-    if source is not None and not str(source).startswith("synthetic:"):
-        return load_dataset(source), str(source)
-    spec = dict(cfg["synthetic"] or {})
+    source = cfg.dataset
+    if source is not None and not source.startswith("synthetic:"):
+        return load_dataset(source), source
+    spec = dict(cfg.synthetic or {})
     if source is not None:
-        spec.update(parse_synthetic_spec(str(source)))
+        spec.update(parse_synthetic_spec(source))
     spec.setdefault("seed", derive_seed(master_seed, "synthetic"))
     dataset = make_synthetic(**spec)
     label = "synthetic:" + ",".join(f"{k}={spec[k]}" for k in sorted(spec))
@@ -240,30 +165,11 @@ def corrupt_dataset(dataset, setting, rate, noise_std, seed):
 # single run
 # ---------------------------------------------------------------------------
 
-def make_train_config(cfg, setting, rate, ablation):
-    alpha = cfg["alpha"] if ablation in ("rec+ggc", "full") else 0.0
-    beta = cfg["beta"] if ablation == "full" else 0.0
-    # the trainer seed is shared across ablation rows so they see identical
-    # batches; it still separates settings and rates
-    seed = derive_seed(cfg["seed"], "trainer", setting, f"{rate:.6f}")
-    return TrainConfig(
-        alpha=alpha, beta=beta, temperature=cfg["tau"],
-        pos_percent=cfg["pos"], neg_percent=cfg["neg"], sigma=cfg["sigma"],
-        learning_rate=cfg["lr"], batch_size=cfg["batch"],
-        profile=cfg["profile"], hidden=cfg["hidden"],
-        latent_dim=cfg["latent_dim"], head_dim=cfg["head_dim"],
-        pretrain_epochs=cfg["pretrain_epochs"], epochs=cfg["epochs"],
-        seed=seed,
-        include_positive_in_denominator=cfg["include_positive_in_denominator"],
-        normalize_weights=cfg["normalize_weights"],
-        eval_every=cfg["eval_every"], kmeans_restarts=cfg["kmeans_restarts"],
-        eval_seeds=cfg["eval_seeds"], fuse_space=cfg["fuse_space"])
-
-
 def resolved_cell_config(cfg, setting, rate, ablation):
-    cell = {k: v for k, v in cfg.items()
-            if k not in ("rates", "settings", "ablations")}
-    cell.update(setting=setting, rate=rate, ablation=ablation)
+    """The config a cell reports: ``cfg`` at one cell, without the grid lists."""
+    cell = asdict(replace(cfg, setting=setting, rate=rate, ablation=ablation))
+    for key in ("rates", "settings", "ablations"):
+        del cell[key]
     return cell
 
 
@@ -279,21 +185,29 @@ def config_hash(cell_cfg):
 
 
 def run_cell(cfg, setting, rate, ablation, out_dir=None):
-    """Prepare data in memory, train, evaluate; optionally write artifacts."""
-    started = time.perf_counter()
-    base, source = resolve_dataset(cfg, cfg["seed"])
-    dataset = corrupt_dataset(base, setting, rate, cfg["noise_std"],
-                              cfg["seed"])
-    tcfg = make_train_config(cfg, setting, rate, ablation)
+    """Prepare data in memory, train, evaluate; optionally write artifacts.
 
-    if cfg["eval_protocol"] == "retrain":
+    ``cfg`` is a :class:`Config` or a dict of config keys, checked here.
+    """
+    started = time.perf_counter()
+    if not isinstance(cfg, Config):
+        cfg = Config.from_dict(cfg)
+    cell_cfg = resolved_cell_config(cfg, setting, rate, ablation)
+    base, source = resolve_dataset(cfg, cfg.seed)
+    dataset = corrupt_dataset(base, setting, rate, cfg.noise_std, cfg.seed)
+    # the trainer seed is shared across ablation rows so they see identical
+    # batches; it still separates settings and rates
+    tcfg = replace(cfg, alpha=cfg.alpha if ablation != "rec" else 0.0,
+                   beta=cfg.beta if ablation == "full" else 0.0,
+                   seed=derive_seed(cfg.seed, "trainer", setting, f"{rate:.6f}"))
+
+    if cfg.eval_protocol == "retrain":
         reports, history, model = [], None, None
-        for i in range(cfg["eval_seeds"]):
-            run_tcfg = tcfg.resolved()
-            run_tcfg.seed = derive_seed(tcfg.seed, "retrain", i)
-            model, history = _fit(run_tcfg, dataset)
-            reports.append(evaluate(model, dataset, run_tcfg,
-                                    seeds=[derive_seed(run_tcfg.seed, "eval", 0)]))
+        for i in range(cfg.eval_seeds):
+            run_cfg = replace(tcfg, seed=derive_seed(tcfg.seed, "retrain", i))
+            model, history = _fit(run_cfg, dataset)
+            reports.append(evaluate(model, dataset, run_cfg,
+                                    seeds=[derive_seed(run_cfg.seed, "eval", 0)]))
         report = reports[0]
         for extra in reports[1:]:
             report.seeds += extra.seeds
@@ -304,7 +218,6 @@ def run_cell(cfg, setting, rate, ablation, out_dir=None):
         model, history = _fit(tcfg, dataset)
         report = evaluate(model, dataset, tcfg)
 
-    cell_cfg = resolved_cell_config(cfg, setting, rate, ablation)
     train_recs = history.train_records()
     result = {
         "schema_version": SCHEMA_VERSION,
@@ -351,19 +264,15 @@ def _write_json(path, obj):
 # ---------------------------------------------------------------------------
 
 def cmd_prepare(cfg):
-    out = Path(cfg["out"])
-    setting, rate = cfg["setting"], float(cfg["rate"])
-    source = cfg["dataset"]
-    synthetic = source is None or str(source).startswith("synthetic:")
+    out = Path(cfg.out)
+    setting, rate, source = cfg.setting, cfg.rate, cfg.dataset
+    synthetic = source is None or source.startswith("synthetic:")
 
     if setting == "clean" and not synthetic:
         src = Path(source)
-        manifest_path = src / MANIFEST_NAME
-        if not manifest_path.is_file():
-            raise DataFormatError(f"missing {manifest_path}")
-        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+        manifest = read_manifest(src)
         out.mkdir(parents=True, exist_ok=True)
-        for name in list(manifest.get("views", [])) + (
+        for name in list(manifest["views"]) + (
                 [manifest["labels"]] if manifest.get("labels") else []):
             shutil.copyfile(src / name, out / name)
         dataset = load_dataset(source, standardize=False)
@@ -377,18 +286,16 @@ def cmd_prepare(cfg):
         print(f"prepared clean copy at {out}")
         return 0
 
-    base, _ = resolve_dataset(cfg, cfg["seed"])
-    dataset = corrupt_dataset(base, setting, rate, cfg["noise_std"],
-                              cfg["seed"])
+    base, _ = resolve_dataset(cfg, cfg.seed)
+    dataset = corrupt_dataset(base, setting, rate, cfg.noise_std, cfg.seed)
     save_dataset(dataset, out)
     print(f"prepared setting={setting} rate={rate} at {out}")
     return 0
 
 
 def cmd_train(cfg):
-    out = Path(cfg["out"])
-    result = run_cell(cfg, cfg["setting"], float(cfg["rate"]),
-                      cfg["ablation"], out_dir=out)
+    result = run_cell(cfg, cfg.setting, cfg.rate, cfg.ablation,
+                      out_dir=Path(cfg.out))
     res = result["results"]
     print(json.dumps(result["config"], sort_keys=True))
     print(f"ACC {res['acc_mean']:.4f}+-{res['acc_std']:.4f}  "
@@ -446,18 +353,10 @@ def _run_cells(cfg, cells, out_root):
 
 
 def cmd_sweep(cfg):
-    out = Path(cfg["out"])
-    settings = cfg["settings"] or [cfg["setting"]]
-    for s in settings:
-        if s not in SETTINGS:
-            raise ConfigError(f"unknown setting {s!r}")
-    rates = cfg["rates"] if cfg["rates"] is not None else [float(cfg["rate"])]
-    ablations = cfg["ablations"] or [cfg["ablation"]]
-    for a in ablations:
-        if a not in ABLATIONS:
-            raise ConfigError(f"unknown ablation {a!r}")
-    cells = [(s, float(r), a) for s in settings for r in rates
-             for a in ablations]
+    out = Path(cfg.out)
+    cells = [(s, r, a) for s in cfg.settings or [cfg.setting]
+             for r in cfg.rates or [cfg.rate]
+             for a in cfg.ablations or [cfg.ablation]]
     results, code = _run_cells(cfg, cells, out)
 
     rows = []
@@ -485,7 +384,7 @@ def cmd_sweep(cfg):
     (out / "sweep.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
     _write_json(out / "sweep.json", {
         "schema_version": SCHEMA_VERSION,
-        "master_seed": cfg["seed"],
+        "master_seed": cfg.seed,
         "cells": results,
     })
     for row in rows:
@@ -500,10 +399,9 @@ def cmd_sweep(cfg):
 
 
 def cmd_ablate(cfg):
-    out = Path(cfg["out"])
-    settings = cfg["settings"] or ["incomplete", "noise", "combined"]
-    rate = float(cfg["rate"])
-    cells = [(s, rate, a) for s in settings for a in ABLATIONS]
+    out = Path(cfg.out)
+    settings = cfg.settings or ["incomplete", "noise", "combined"]
+    cells = [(s, cfg.rate, a) for s in settings for a in ABLATIONS]
     results, code = _run_cells(cfg, cells, out)
     by_key = {(s, a): r for (s, _, a), r in zip(cells, results)}
 
@@ -525,8 +423,8 @@ def cmd_ablate(cfg):
     (out / "ablate.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
     _write_json(out / "ablate.json", {
         "schema_version": SCHEMA_VERSION,
-        "master_seed": cfg["seed"],
-        "rate": rate,
+        "master_seed": cfg.seed,
+        "rate": cfg.rate,
         "cells": results,
     })
     print("\n".join(lines))

@@ -177,6 +177,23 @@ def _write_int_matrix(path, arr):
             fh.write("\n")
 
 
+def read_manifest(root):
+    """The parsed ``manifest.json`` of a dataset directory, or DataFormatError."""
+    manifest_path = Path(root) / MANIFEST_NAME
+    if not manifest_path.is_file():
+        raise DataFormatError(f"missing {manifest_path}")
+    try:
+        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+    except ValueError as err:
+        raise DataFormatError(f"{manifest_path}: {err}") from err
+    if not isinstance(manifest, dict):
+        raise DataFormatError(f"{manifest_path}: not a JSON object")
+    for key in ("n_views", "n_samples", "views"):
+        if key not in manifest:
+            raise DataFormatError(f"manifest is missing {key!r}")
+    return manifest
+
+
 def load_dataset(path, standardize=None):
     """Load a dataset directory.
 
@@ -184,17 +201,7 @@ def load_dataset(path, standardize=None):
     the manifest's ``standardize`` field, or true when absent.
     """
     root = Path(path)
-    manifest_path = root / MANIFEST_NAME
-    if not manifest_path.is_file():
-        raise DataFormatError(f"missing {manifest_path}")
-    try:
-        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as err:
-        raise DataFormatError(f"{manifest_path}: {err}") from err
-
-    for key in ("n_views", "n_samples", "views"):
-        if key not in manifest:
-            raise DataFormatError(f"manifest is missing {key!r}")
+    manifest = read_manifest(root)
     n_views = int(manifest["n_views"])
     n_samples = int(manifest["n_samples"])
     names = list(manifest["views"])

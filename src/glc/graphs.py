@@ -343,8 +343,7 @@ def lwc_loss(h_u, h_v, weights, temperature):
     return _cross_view_contrast(h_u, h_v, temperature, log_weights=np.log(diag))
 
 
-def lwc_total(h_list, co_available, temperature, sigma="median",
-              normalize_weights=False):
+def lwc_total(h_list, co_available, temperature, sigma="median"):
     """Sum the weighted loss over all unordered view pairs.
 
     ``co_available`` maps (u, v) with u < v to the pair's local row
@@ -356,9 +355,8 @@ def lwc_total(h_list, co_available, temperature, sigma="median",
     in log space, ``log w_i = logsumexp_j(-(d_uv + d_vv) / sigma)``, so no
     sigma can underflow it.  The weights enter the loss only as the
     constant ``-sum_i log w_i``: they shift the value and change no
-    gradient.  ``normalize_weights`` divides them by their max, which
-    shifts that constant again.  Pairs with fewer than 2 common samples
-    are skipped with a warning.
+    gradient.  Pairs with fewer than 2 common samples are skipped with a
+    warning.
     """
     total = Tensor(0.0)
     n_views = len(h_list)
@@ -380,8 +378,6 @@ def lwc_total(h_list, co_available, temperature, sigma="median",
             x = (d_uv + _gram_sqdist(b.data, b.data)) / -s
             peak = x.max(axis=1)
             log_w = peak + np.log(np.exp(x - peak[:, None]).sum(axis=1))
-            if normalize_weights:
-                log_w = log_w - log_w.max()
             total = nn.add(total, _cross_view_contrast(
                 a, b, temperature, log_weights=log_w))
     return total

@@ -21,7 +21,7 @@ derive_seed(s, "eval", i).  Two runs with equal configs are bit-identical.
 import logging
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -35,86 +35,6 @@ from .nn import AdamState, Tape, adam_step, backward, mlp_forward, mul, add
 from . import nn
 
 logger = logging.getLogger(__name__)
-
-# model widths and epoch budgets; "paper" is the full-scale default,
-# "desk" is sized for laptops, tests and synthetic studies
-PROFILES = {
-    "paper": {"hidden": (500, 500, 2000), "latent_dim": 512, "head_dim": 128,
-              "pretrain_epochs": 200, "epochs": 200},
-    "desk": {"hidden": (64, 64), "latent_dim": 32, "head_dim": 16,
-             "pretrain_epochs": 50, "epochs": 100},
-}
-
-
-@dataclass
-class TrainConfig:
-    """All knobs of one training run.
-
-    ``None`` for the architecture/epoch fields means "use the profile's
-    value"; ``resolved()`` fills them in.
-    """
-
-    alpha: float = 0.1
-    beta: float = 1.0
-    temperature: float = 0.5
-    pos_percent: float = 1.0
-    neg_percent: float = 50.0
-    sigma: object = "median"          # "median" or a fixed positive float
-    learning_rate: float = 1e-3
-    batch_size: int = 256
-    profile: str = "paper"
-    hidden: tuple = None
-    latent_dim: int = None
-    head_dim: int = None
-    pretrain_epochs: int = None
-    epochs: int = None
-    seed: int = 0
-    include_positive_in_denominator: bool = False
-    normalize_weights: bool = False
-    eval_every: int = 0               # 0: no mid-training metric checkpoints
-    kmeans_restarts: int = 10
-    eval_seeds: int = 5
-    fuse_space: str = "contrast"      # or "latent"
-
-    def resolved(self):
-        if self.profile not in PROFILES:
-            raise ConfigError(f"unknown profile {self.profile!r}")
-        prof = PROFILES[self.profile]
-        cfg = replace(
-            self,
-            hidden=tuple(self.hidden) if self.hidden is not None else prof["hidden"],
-            latent_dim=self.latent_dim if self.latent_dim is not None else prof["latent_dim"],
-            head_dim=self.head_dim if self.head_dim is not None else prof["head_dim"],
-            pretrain_epochs=(self.pretrain_epochs if self.pretrain_epochs is not None
-                             else prof["pretrain_epochs"]),
-            epochs=self.epochs if self.epochs is not None else prof["epochs"],
-        )
-        cfg.validate()
-        return cfg
-
-    def validate(self):
-        if self.alpha < 0 or self.beta < 0:
-            raise ConfigError("loss weights must be non-negative")
-        if self.temperature <= 0:
-            raise ConfigError("temperature must be positive")
-        if not (0 < self.pos_percent and 0 < self.neg_percent
-                and self.pos_percent + self.neg_percent <= 100):
-            raise ConfigError("pair percentages must be positive and sum to <= 100")
-        if self.sigma != "median":
-            if not isinstance(self.sigma, (int, float)) or self.sigma <= 0:
-                raise ConfigError("sigma must be 'median' or a positive number")
-        if self.learning_rate <= 0:
-            raise ConfigError("learning rate must be positive")
-        if self.batch_size < 2:
-            raise ConfigError("batch_size must be at least 2")
-        if self.epochs is not None and self.epochs < 1:
-            raise ConfigError("epochs must be at least 1")
-        if self.pretrain_epochs is not None and self.pretrain_epochs < 0:
-            raise ConfigError("pretrain_epochs must be non-negative")
-        if self.fuse_space not in ("contrast", "latent"):
-            raise ConfigError("fuse_space must be 'contrast' or 'latent'")
-        if self.eval_every < 0 or self.kmeans_restarts < 1 or self.eval_seeds < 1:
-            raise ConfigError("eval settings must be positive")
 
 
 @dataclass
@@ -196,7 +116,7 @@ def _epoch_pass(model, dataset, config, rng, params, opt, phase, epoch_index):
     contrastive = phase == "train"
     sums = {"rec": 0.0, "ggc": 0.0, "lwc": 0.0, "total": 0.0}
     skipped_pairs_everywhere = True
-    for bi, batch in enumerate(iter_epoch(dataset, config.batch_size, rng)):
+    for bi, batch in enumerate(iter_epoch(dataset, config.batch, rng)):
         tape = Tape()
         feats = forward_views(model, batch, tape)
         rec = reconstruction_loss(feats, batch)
@@ -206,9 +126,8 @@ def _epoch_pass(model, dataset, config, rng, params, opt, phase, epoch_index):
             stacked = sum(h.data.shape[0] for h in hs)
             if stacked >= 3:
                 graph = build_global_graph(hs, positions=batch.view_positions)
-                pairs = select_pairs(graph, config.pos_percent,
-                                     config.neg_percent)
-                ggc = ggc_loss(graph, pairs, config.temperature,
+                pairs = select_pairs(graph, config.pos, config.neg)
+                ggc = ggc_loss(graph, pairs, config.tau,
                                config.include_positive_in_denominator)
             else:
                 logger.warning("epoch %d batch %d: %d stacked features, "
@@ -219,8 +138,7 @@ def _epoch_pass(model, dataset, config, rng, params, opt, phase, epoch_index):
                   for u in range(len(hs)) for v in range(u + 1, len(hs))}
             if any(len(iu) >= 2 for iu in (p[0] for p in co.values())):
                 skipped_pairs_everywhere = False
-            lwc = lwc_total(hs, co, config.temperature, sigma=config.sigma,
-                            normalize_weights=config.normalize_weights)
+            lwc = lwc_total(hs, co, config.tau, sigma=config.sigma)
         loss = total_loss(rec, ggc if ggc is not None else 0.0,
                           lwc if lwc is not None else 0.0,
                           config.alpha if contrastive else 0.0,
@@ -248,7 +166,7 @@ def pretrain(model, dataset, config, history=None):
     """Reconstruction-only warm-up; appends per-epoch records to history."""
     cfg = config.resolved()
     params = model_parameters(model)
-    opt = AdamState.for_params(params, learning_rate=cfg.learning_rate)
+    opt = AdamState.for_params(params, learning_rate=cfg.lr)
     rng = np.random.default_rng(derive_seed(cfg.seed, "pretrain"))
     for _ in range(cfg.pretrain_epochs):
         start = time.perf_counter()
@@ -273,7 +191,7 @@ def train(model, dataset, config, history=None):
     cfg = config.resolved()
     history = history if history is not None else TrainHistory()
     params = model_parameters(model)
-    opt = AdamState.for_params(params, learning_rate=cfg.learning_rate)
+    opt = AdamState.for_params(params, learning_rate=cfg.lr)
     rng = np.random.default_rng(derive_seed(cfg.seed, "train"))
     for e in range(1, cfg.epochs + 1):
         start = time.perf_counter()
@@ -463,9 +381,9 @@ class ClusterReport:
         }
 
 
-def evaluate(model, dataset, config=None, seeds=None):
+def evaluate(model, dataset, config, seeds=None):
     """Fuse, cluster and score against the dataset labels."""
-    cfg = (config if config is not None else TrainConfig()).resolved()
+    cfg = config.resolved()
     if dataset.labels is None:
         raise ConfigError("evaluation requires a labeled dataset")
     k = dataset.n_classes

@@ -26,10 +26,10 @@ import time
 
 import numpy as np
 
-from glc.cli import (DEFAULTS, corrupt_dataset, main, make_train_config,
-                     resolve_dataset, run_cell)
-from glc.data import (MultiViewDataset, generate_missing_mask, inject_noise,
-                      make_synthetic, sample_batch)
+from glc.cli import DEFAULTS, corrupt_dataset, main, resolve_dataset, run_cell
+from glc.config import Config
+from glc.data import (MultiViewDataset, derive_seed, generate_missing_mask,
+                      inject_noise, make_synthetic, sample_batch)
 from glc.graphs import (build_global_graph, ggc_loss, high_order_diag,
                         high_order_graph, local_affinity, lwc_loss, lwc_total,
                         median_sigma, pairwise_contrastive_loss, select_pairs)
@@ -37,8 +37,7 @@ from glc.metrics import accuracy, ari, nmi
 from glc.model import (forward_views, init_model, model_parameters,
                        reconstruction_loss)
 from glc.nn import Tape, Tensor, backward, grad_check, take_rows
-from glc.pipeline import (TrainConfig, TrainHistory, build_model, pretrain,
-                          total_loss, train)
+from glc.pipeline import TrainHistory, build_model, pretrain, total_loss, train
 
 # the trend fixture: three moderately separated clusters seen through three
 # 20-d views.  Separation 1.0 keeps single-view reconstruction far from
@@ -439,13 +438,14 @@ def test_gate_6_ablation_ordering():
 # ---------------------------------------------------------------------------
 
 def test_gate_7_training_stability():
-    cfg = dict(DEFAULTS)
-    cfg.update(dataset=FIXTURE, seed=MASTER_SEED, profile="desk", batch=256)
-    dataset, _ = resolve_dataset(cfg, cfg["seed"])
-    corrupted = corrupt_dataset(dataset, "incomplete", RATE,
-                                cfg["noise_std"], cfg["seed"])
-    tcfg = make_train_config(cfg, "incomplete", RATE, "full")
-    tcfg = dataclasses.replace(tcfg, eval_every=10)
+    cfg = Config(dataset=FIXTURE, seed=MASTER_SEED, profile="desk", batch=256)
+    dataset, _ = resolve_dataset(cfg, cfg.seed)
+    corrupted = corrupt_dataset(dataset, "incomplete", RATE, cfg.noise_std,
+                                cfg.seed)
+    # the "full" row's trainer config, as glc.cli.run_cell derives it
+    tcfg = dataclasses.replace(
+        cfg, eval_every=10,
+        seed=derive_seed(MASTER_SEED, "trainer", "incomplete", f"{RATE:.6f}"))
 
     model = build_model(corrupted, tcfg)
     history = TrainHistory()
@@ -504,8 +504,8 @@ def test_gate_8_reproducibility(tmp_path):
 def test_gate_9_linear_scaling():
     def epoch_seconds(n, epochs=7):
         ds = make_synthetic(n, 3, 4, dims=20, separation=1.0, seed=11)
-        tcfg = TrainConfig(profile="desk", batch_size=256, seed=0,
-                           pretrain_epochs=0, epochs=epochs)
+        tcfg = Config(profile="desk", batch=256, seed=0, pretrain_epochs=0,
+                      epochs=epochs)
         model = init_model([v.shape[1] for v in ds.views], latent_dim=32,
                            head_dim=16, hidden=(64, 64), seed=0)
         _, history = train(model, ds, tcfg)

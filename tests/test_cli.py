@@ -1,13 +1,17 @@
 """Command line: config resolution, artifacts, determinism and exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from glc.cli import (config_hash, load_config, main, parse_synthetic_spec,
-                     resolved_cell_config)
+import glc
+from glc.cli import (DEFAULTS, config_hash, load_config, main,
+                     parse_synthetic_spec, resolved_cell_config, run_cell)
 from glc.data import load_dataset, make_synthetic, save_dataset
 from glc.errors import ConfigError
 
@@ -44,9 +48,9 @@ def test_flag_overrides_config_file(tmp_path):
         tau = None
 
     cfg = load_config(Args())
-    assert cfg["alpha"] == 0.9          # flag wins
-    assert cfg["tau"] == 0.7            # file wins over default
-    assert cfg["beta"] == 1.0           # default preserved
+    assert cfg.alpha == 0.9             # flag wins
+    assert cfg.tau == 0.7               # file wins over default
+    assert cfg.beta == 1.0              # default preserved
 
 
 def test_unknown_config_key_rejected(tmp_path):
@@ -135,6 +139,36 @@ def test_exit_code_success(tmp_path, fast_cfg):
     assert main(_train_args(tmp_path / "run", fast_cfg)) == 0
 
 
+@pytest.mark.parametrize("command, config, extra", [
+    ("train", {"epochs": "3"}, []),
+    ("train", {"tau": "0.5"}, []),
+    ("train", 3, []),
+    ("train", {"rate": "abc"}, []),
+    ("train", {"hidden": 64}, []),
+    ("train", {"batch": 8.5}, []),
+    ("train", {"eval_protocol": "retrain", "eval_seeds": 0}, []),
+    ("train", {"seed": 1.5}, []),
+    ("ablate", {"settings": ["bogus"]}, []),
+    ("sweep", {}, ["--rates", "0.1,1.5"]),
+])
+def test_bad_config_exits_1_before_any_cell(tmp_path, command, config, extra):
+    # run as a process, so an uncaught exception would show as a traceback
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    src = str(Path(glc.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "glc.cli", command, "--dataset", SPEC,
+         "--profile", "desk", "--config", str(path), "--out", str(out),
+         *extra], capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 1, proc.stderr
+    assert "config error:" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not (out / "cells").exists()
+
+
 # ---------------------------------------------------------------------------
 # prepare
 # ---------------------------------------------------------------------------
@@ -149,6 +183,16 @@ def test_prepare_clean_copies_bytes(tmp_path):
         assert (out / name).read_bytes() == (src / name).read_bytes()
     mask = np.loadtxt(out / "mask.csv", delimiter=",", dtype=int)
     assert (mask == 1).all()
+
+
+def test_malformed_manifest_is_an_io_error(tmp_path, fast_cfg):
+    src = tmp_path / "src"
+    save_dataset(make_synthetic(12, 2, 2, dims=3, seed=1), src)
+    (src / "manifest.json").write_text("{not json", encoding="utf-8")
+    assert main(["prepare", "--dataset", str(src), "--setting", "clean",
+                 "--out", str(tmp_path / "clean")]) == 2
+    assert main(["train", "--dataset", str(src), "--profile", "desk",
+                 "--config", fast_cfg, "--out", str(tmp_path / "run")]) == 2
 
 
 def test_prepare_incomplete_counts(tmp_path):
@@ -193,7 +237,7 @@ def test_train_artifacts_and_report_schema(tmp_path, fast_cfg):
     assert set(report) == {"schema_version", "config", "config_hash",
                            "dataset", "results", "final_loss", "artifacts",
                            "wall_time_s"}
-    assert report["schema_version"] == 1
+    assert report["schema_version"] == 2
     assert report["config"]["alpha"] == 0.1
     assert report["config"]["beta"] == 1.0
     assert report["config"]["tau"] == 0.5
@@ -206,6 +250,18 @@ def test_train_artifacts_and_report_schema(tmp_path, fast_cfg):
     lines = (out / "history.csv").read_text().strip().split("\n")
     assert lines[0] == "epoch,L_rec,L_ggc,L_lwc,L_total,acc,nmi,ari"
     assert len(lines) == 1 + 1 + 2      # header + pretrain + train epochs
+
+
+def test_retrain_protocol_trains_once_per_seed(tmp_path, fast_cfg):
+    cfg = json.loads(Path(fast_cfg).read_text())
+    cfg.update(eval_protocol="retrain", eval_seeds=2)
+    path = tmp_path / "retrain.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "run"
+    assert main(_train_args(out, str(path))) == 0
+    runs = json.loads((out / "report.json").read_text())["results"]["runs"]
+    assert len(runs) == 2
+    assert runs[0]["seed"] != runs[1]["seed"]
 
 
 def test_train_determinism_full_rerun(tmp_path, fast_cfg):
@@ -320,9 +376,22 @@ def test_ablate_rows_share_data_and_batches(tmp_path, fast_cfg):
 
 
 def test_cell_config_round_trip():
-    cfg = dict(load_config(type("A", (), {"config": None, "dataset": SPEC})()))
+    cfg = load_config(type("A", (), {"config": None, "dataset": SPEC})())
     cell = resolved_cell_config(cfg, "noise", 0.5, "rec+ggc")
     assert cell["setting"] == "noise"
     assert cell["rate"] == 0.5
     assert cell["ablation"] == "rec+ggc"
     assert "rates" not in cell
+
+
+def test_run_cell_takes_a_dict_of_config_keys():
+    # perfbench/child.py calls run_cell with such a dict; it is checked too
+    cfg = dict(DEFAULTS) | {"dataset": SPEC, "profile": "desk",
+                            "pretrain_epochs": 1, "epochs": 2,
+                            "eval_seeds": 1, "kmeans_restarts": 2, "batch": 8}
+    result = run_cell(cfg, "combined", 0.3, "full")
+    assert result["config"]["setting"] == "combined"
+    assert result["config"]["rate"] == 0.3
+    assert len(result["results"]["runs"]) == 1
+    with pytest.raises(ConfigError):
+        run_cell(cfg | {"batch": "8"}, "combined", 0.3, "full")

@@ -520,21 +520,6 @@ def test_lwc_total_disjoint_availability_is_zero():
     assert float(lwc_total(h, co, 0.5).data) == 0.0
 
 
-def test_lwc_total_normalized_weights_peak_at_one():
-    rng = np.random.default_rng(18)
-    h = [rng.normal(size=(5, 3)) for _ in range(2)]
-    co = _pair_index(h)
-    raw = float(lwc_total(h, co, 0.5).data)
-    normed = float(lwc_total(h, co, 0.5, normalize_weights=True).data)
-    s = median_sigma(h[0], h[1])
-    diag = high_order_diag(local_affinity(h[0], h[1], s),
-                           local_affinity(h[1], h[1], s))
-    # normalization divides by the max diagonal entry: the loss shifts by
-    # exactly n * log(max)
-    np.testing.assert_allclose(normed - raw, 5 * math.log(diag.max()),
-                               rtol=1e-10)
-
-
 def test_lwc_total_tiny_sigma_stays_finite():
     # the weights are taken in log space: a width far below every distance
     # no longer underflows them

@@ -3,19 +3,20 @@
 import numpy as np
 import pytest
 
+from glc.config import PROFILES, Config
 from glc.data import MultiViewDataset, generate_missing_mask, make_synthetic
 from glc.errors import ConfigError, ShapeError, TrainingAborted
 from glc.model import model_parameters
-from glc.pipeline import (PROFILES, ClusterReport, TrainConfig, TrainHistory,
-                          build_model, evaluate, fuse_features, fuse_mean,
-                          infer_features, kmeans, pretrain, total_loss, train)
+from glc.pipeline import (ClusterReport, TrainHistory, build_model, evaluate,
+                          fuse_features, fuse_mean, infer_features, kmeans,
+                          pretrain, total_loss, train)
 
 
 def _desk_config(**kw):
-    base = dict(profile="desk", batch_size=16, pretrain_epochs=2, epochs=3,
+    base = dict(profile="desk", batch=16, pretrain_epochs=2, epochs=3,
                 eval_seeds=2, kmeans_restarts=2, seed=0)
     base.update(kw)
-    return TrainConfig(**base)
+    return Config(**base)
 
 
 def _tiny_dataset(seed=0, n=24, v=2, k=3):
@@ -36,36 +37,43 @@ def _assert_params_equal(a, b):
 # ---------------------------------------------------------------------------
 
 def test_profiles_fill_architecture():
-    cfg = TrainConfig(profile="paper").resolved()
+    cfg = Config(profile="paper").resolved()
     assert cfg.hidden == (500, 500, 2000)
     assert cfg.latent_dim == 512 and cfg.head_dim == 128
-    desk = TrainConfig(profile="desk").resolved()
+    desk = Config(profile="desk").resolved()
     assert desk.hidden == PROFILES["desk"]["hidden"]
     assert desk.epochs == 100 and desk.pretrain_epochs == 50
 
 
 def test_explicit_fields_override_profile():
-    cfg = TrainConfig(profile="paper", hidden=(8,), latent_dim=4,
-                      epochs=7).resolved()
+    cfg = Config(profile="paper", hidden=(8,), latent_dim=4,
+                 epochs=7).resolved()
     assert cfg.hidden == (8,) and cfg.latent_dim == 4 and cfg.epochs == 7
     assert cfg.head_dim == 128     # untouched fields still come from the profile
 
 
 def test_config_validation():
     with pytest.raises(ConfigError):
-        TrainConfig(alpha=-0.1).resolved()
+        Config(alpha=-0.1)
     with pytest.raises(ConfigError):
-        TrainConfig(temperature=0.0).resolved()
+        Config(tau=0.0)
     with pytest.raises(ConfigError):
-        TrainConfig(pos_percent=60.0, neg_percent=50.0).resolved()
+        Config(pos=60.0, neg=50.0)
     with pytest.raises(ConfigError):
-        TrainConfig(sigma=-1.0).resolved()
+        Config(sigma=-1.0)
     with pytest.raises(ConfigError):
-        TrainConfig(batch_size=1).resolved()
+        Config(batch=1)
     with pytest.raises(ConfigError):
-        TrainConfig(profile="gpu").resolved()
+        Config(profile="gpu")
     with pytest.raises(ConfigError):
-        TrainConfig(fuse_space="pixel").resolved()
+        Config(fuse_space="pixel")
+    # bool is not a number, integer keys take integers only, numbers are
+    # finite, and the synthetic spec object is checked key by key
+    for bad in ({"batch": True}, {"alpha": False}, {"seed": 1.5},
+                {"lr": float("nan")}, {"hidden": (8, 0)},
+                {"synthetic": {"n": 30}}, {"synthetic": {"dims": "4"}}):
+        with pytest.raises(ConfigError):
+            Config(**bad)
 
 
 # ---------------------------------------------------------------------------
@@ -157,7 +165,7 @@ def test_train_rec_only_matches_zero_weight_contrast_path():
 
 def test_train_full_objective_decreases():
     ds = _tiny_dataset(seed=6, n=30)
-    cfg = _desk_config(pretrain_epochs=5, epochs=25, batch_size=15)
+    cfg = _desk_config(pretrain_epochs=5, epochs=25, batch=15)
     model = build_model(ds, cfg)
     pretrain(model, ds, cfg)
     model, history = train(model, ds, cfg)
@@ -198,7 +206,7 @@ def test_train_aborts_on_divergence():
     # a step size this large overflows the forward pass within a few
     # epochs; the trainer must stop with diagnostics, not emit NaN rows
     ds = _tiny_dataset(seed=9)
-    cfg = _desk_config(learning_rate=1e100, epochs=10, alpha=0.0, beta=0.0)
+    cfg = _desk_config(lr=1e100, epochs=10, alpha=0.0, beta=0.0)
     model = build_model(ds, cfg)
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(TrainingAborted) as err:
