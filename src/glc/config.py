@@ -82,7 +82,10 @@ def _synthetic(name, value):
 
 
 def parse_synthetic_spec(text):
-    """Parse ``synthetic:n=300,v=3,k=3,dims=12|10|8,sep=2.0,noise=1.0``."""
+    """Parse ``synthetic:n=300,v=3,k=3,dims=12|10|8,sep=2.0,noise=1.0``.
+
+    ``dims`` gives one width per view, or one width for every view.
+    """
     body = text.split(":", 1)[1] if ":" in text else ""
     spec = {}
     for item in filter(None, body.split(",")):
@@ -96,7 +99,8 @@ def parse_synthetic_spec(text):
         out["n_views"] = int(spec.pop("v", 2))
         out["n_classes"] = int(spec.pop("k", 3))
         if "dims" in spec:
-            out["dims"] = [int(d) for d in spec.pop("dims").split("|")]
+            dims = [int(d) for d in spec.pop("dims").split("|")]
+            out["dims"] = dims * out["n_views"] if len(dims) == 1 else dims
         out["separation"] = float(spec.pop("sep", 5.0))
         if "noise" in spec:
             out["view_noise"] = float(spec.pop("noise"))

@@ -516,9 +516,47 @@ def mlp_forward(net, x, tape=None):
 # Adam
 # ---------------------------------------------------------------------------
 
+# A parameter larger than this many elements is updated in blocks of whole
+# rows of about this size, so a block's gradient copy and temporaries stay in
+# cache between the update's passes.  Over the paper profile's parameters on
+# a 2-vCPU Xeon VM, 16K to 64K were equally fast, 4K 30% and 256K 10%
+# slower; the smallest of the fastest keeps the scratch small.
+_BLOCK = 16384
+
+
+def _block_plan(shapes):
+    """Per parameter shape, ``(index, t, u)`` for each block to update.
+
+    A parameter of at most ``_BLOCK`` elements is one block, indexed by
+    ``...``; a larger one is cut into blocks of whole rows of at most
+    ``_BLOCK`` elements, or of one row where a row is wider.  ``t`` and
+    ``u`` are views, in block shape, of one scratch buffer sized for the
+    largest block; blocks of one shape share them.
+    """
+    cuts = []
+    for shape in shapes:
+        if math.prod(shape) <= _BLOCK:
+            cuts.append([(..., shape)])
+            continue
+        rows = max(1, _BLOCK // math.prod(shape[1:]))
+        cuts.append([(slice(i, i + rows),
+                      (min(rows, shape[0] - i),) + shape[1:])
+                     for i in range(0, shape[0], rows)])
+    block_shapes = {b for blocks in cuts for _, b in blocks}
+    t, u = np.empty((2, max(map(math.prod, block_shapes), default=0)))
+    views = {b: (t[:math.prod(b)].reshape(b), u[:math.prod(b)].reshape(b))
+             for b in block_shapes}
+    return [[(i, *views[b]) for i, b in blocks] for blocks in cuts]
+
+
 @dataclass
 class AdamState:
-    """Per-parameter first/second moment buffers plus the shared step count."""
+    """Per-parameter first/second moment buffers plus the shared step count.
+
+    ``_blocks`` holds, per parameter, the blocks :func:`adam_step` walks and
+    their views of one block-sized scratch buffer; the first step builds it
+    and every later step reuses it.
+    """
 
     learning_rate: float = 1e-3
     beta1: float = 0.9
@@ -527,6 +565,7 @@ class AdamState:
     step: int = 0
     first_moment: list = field(default_factory=list)
     second_moment: list = field(default_factory=list)
+    _blocks: list = field(default=None, init=False, repr=False, compare=False)
 
     @classmethod
     def for_params(cls, params, learning_rate=1e-3, beta1=0.9, beta2=0.999,
@@ -538,13 +577,54 @@ class AdamState:
         return state
 
 
+def _adam_update(state, bias1, bias2, p, m, v, g, t, u):
+    """Update ``p``, ``m`` and ``v`` in place; ``t`` and ``u`` are scratch.
+
+    ``g`` may be ``u`` itself: it is last read before ``u`` is written.
+    """
+    np.multiply(g, 1.0 - state.beta1, out=t)
+    m *= state.beta1
+    m += t
+    np.multiply(g, g, out=t)
+    t *= 1.0 - state.beta2
+    v *= state.beta2
+    v += t
+    np.divide(m, bias1, out=t)
+    t *= state.learning_rate
+    np.divide(v, bias2, out=u)
+    np.sqrt(u, out=u)
+    u += state.eps
+    t /= u
+    p -= t
+
+
 def adam_step(state, params, grads):
     """One Adam update with bias correction, applied in place.
 
     ``grads`` is either the mapping returned by :func:`backward` or a
-    sequence aligned with ``params``.
+    sequence aligned with ``params``.  Every length and shape is checked
+    before anything changes, so a bad gradient raises ``ShapeError`` and
+    leaves parameters, moments and ``state.step`` as they were.
+
+    Each element goes through the same operations in the same order as the
+    whole-array formula::
+
+        m = b1*m + (1-b1)*g
+        v = b2*v + (1-b2)*(g*g)
+        p -= (lr * (m/bias1)) / (sqrt(v/bias2) + eps)
+
+    so the results are bit-identical to it, but every operation writes into
+    scratch owned by ``state`` and no parameter-sized temporary is
+    allocated.  A parameter of at most ``_BLOCK`` elements is updated
+    whole; a larger one is walked in blocks of whole rows of about
+    ``_BLOCK`` elements, so every pass over a block runs in cache.  A
+    gradient block that is not C-contiguous (``backward`` gives weight
+    gradients as transposed views) is first copied into the scratch: it is
+    then read once, and no later pass mixes layouts, which runs at about
+    half speed.
     """
-    if len(state.first_moment) != len(params):
+    moments = state.first_moment, state.second_moment
+    if any(len(ms) != len(params) for ms in moments):
         raise ShapeError("optimizer state does not match the parameter list")
     if isinstance(grads, dict):
         grad_list = [grads[p] for p in params]
@@ -552,23 +632,28 @@ def adam_step(state, params, grads):
         grad_list = list(grads)
         if len(grad_list) != len(params):
             raise ShapeError("gradient list does not match the parameter list")
-
-    state.step += 1
-    bias1 = 1.0 - state.beta1 ** state.step
-    bias2 = 1.0 - state.beta2 ** state.step
-    for p, m, v, g in zip(params, state.first_moment, state.second_moment,
-                          grad_list):
-        g = np.asarray(g, dtype=np.float64)
+    grad_list = [np.asarray(g, dtype=np.float64) for g in grad_list]
+    for p, m, v, g in zip(params, *moments, grad_list):
         if g.shape != p.data.shape:
             raise ShapeError(
                 f"gradient shape {g.shape} != parameter shape {p.data.shape}")
-        m *= state.beta1
-        m += (1.0 - state.beta1) * g
-        v *= state.beta2
-        v += (1.0 - state.beta2) * (g * g)
-        m_hat = m / bias1
-        v_hat = v / bias2
-        p.data -= state.learning_rate * m_hat / (np.sqrt(v_hat) + state.eps)
+        if m.shape != p.data.shape or v.shape != p.data.shape:
+            raise ShapeError(
+                "optimizer state does not match the parameter list")
+
+    if state._blocks is None:
+        state._blocks = _block_plan([m.shape for m in moments[0]])
+    state.step += 1
+    bias1 = 1.0 - state.beta1 ** state.step
+    bias2 = 1.0 - state.beta2 ** state.step
+    for p, m, v, g, blocks in zip(params, *moments, grad_list,
+                                  state._blocks):
+        for i, t, u in blocks:
+            gb = g[i]
+            if not gb.flags.c_contiguous:
+                np.copyto(u, gb)
+                gb = u
+            _adam_update(state, bias1, bias2, p.data[i], m[i], v[i], gb, t, u)
     return params, state
 
 

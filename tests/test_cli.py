@@ -68,6 +68,7 @@ def test_parse_synthetic_spec():
     spec = parse_synthetic_spec("synthetic:n=60,v=3,k=4,dims=5|6|7,sep=2.5")
     assert spec == {"n_samples": 60, "n_views": 3, "n_classes": 4,
                     "dims": [5, 6, 7], "separation": 2.5}
+    assert parse_synthetic_spec("synthetic:v=3,dims=4")["dims"] == [4, 4, 4]
     with pytest.raises(ConfigError):
         parse_synthetic_spec("synthetic:n=60,volume=3")
     with pytest.raises(ConfigError):
@@ -137,6 +138,12 @@ def test_exit_code_bad_glc_threads(tmp_path, fast_cfg, monkeypatch):
 
 def test_exit_code_success(tmp_path, fast_cfg):
     assert main(_train_args(tmp_path / "run", fast_cfg)) == 0
+
+
+def test_train_with_one_shared_synthetic_width(tmp_path, fast_cfg):
+    assert main(["train", "--dataset", "synthetic:n=30,v=3,k=3,dims=4",
+                 "--profile", "desk", "--config", fast_cfg,
+                 "--out", str(tmp_path / "run")]) == 0
 
 
 @pytest.mark.parametrize("command, config, extra", [

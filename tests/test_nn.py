@@ -1,14 +1,15 @@
 """Tensor/tape core: op gradients, MLP forward, Adam, grad_check."""
 
 import gc
+import tracemalloc
 import weakref
 
 import numpy as np
 import pytest
 
 from glc.errors import ShapeError
-from glc.nn import (AdamState, Layer, Mlp, Tape, Tensor, adam_step, add,
-                    backward, concat_cols, concat_rows, div, exp,
+from glc.nn import (_BLOCK, AdamState, Layer, Mlp, Tape, Tensor, adam_step,
+                    add, backward, concat_cols, concat_rows, div, exp,
                     gather_cols, gather_pairs, grad_check, log,
                     logsumexp_rows, matmul, mlp_forward, mul, relu, sqrt,
                     sub, take_rows, transpose, tsum)
@@ -348,10 +349,93 @@ def test_adam_accepts_backward_dict():
 
 
 def test_adam_shape_mismatch_rejected():
-    p = Tensor(np.array([1.0, 2.0]))
-    state = AdamState.for_params([p])
+    # a bad gradient after a good one changes nothing: no parameter, moment
+    # or step count is touched before every shape has been checked
+    a = Tensor(np.zeros(2))
+    b = Tensor(np.zeros(3))
+    state = AdamState.for_params([a, b])
     with pytest.raises(ShapeError):
-        adam_step(state, [p], [np.zeros(3)])
+        adam_step(state, [a, b], [np.ones(2), np.ones(4)])
+    assert state.step == 0
+    for arr in [a.data, b.data, *state.first_moment, *state.second_moment]:
+        np.testing.assert_array_equal(arr, 0.0)
+
+
+def _oracle_adam_step(state, params, grads):
+    """The whole-array Adam update ``adam_step`` must match bit for bit."""
+    state.step += 1
+    bias1 = 1.0 - state.beta1 ** state.step
+    bias2 = 1.0 - state.beta2 ** state.step
+    for p, m, v, g in zip(params, state.first_moment, state.second_moment,
+                          grads):
+        m *= state.beta1
+        m += (1.0 - state.beta1) * g
+        v *= state.beta2
+        v += (1.0 - state.beta2) * (g * g)
+        m_hat = m / bias1
+        v_hat = v / bias2
+        p.data -= state.learning_rate * m_hat / (np.sqrt(v_hat) + state.eps)
+
+
+def _assert_same_adam(state, params, ref_state, ref_params):
+    assert state.step == ref_state.step
+    pairs = [(p.data, q.data) for p, q in zip(params, ref_params)]
+    pairs += list(zip(state.first_moment, ref_state.first_moment))
+    pairs += list(zip(state.second_moment, ref_state.second_moment))
+    for got, want in pairs:
+        assert np.array_equal(got, want)
+
+
+def test_adam_is_bit_identical_to_the_whole_array_formula():
+    rng = np.random.default_rng(7)
+    shapes = [(), (5,), (_BLOCK + 5,), (7, 9), (3, _BLOCK + 11), (1000, 37),
+              (37, 1000)]
+    params = [Tensor(rng.normal(size=s)) for s in shapes]
+    ref_params = [Tensor(p.data.copy()) for p in params]
+    state = AdamState.for_params(params, learning_rate=1e-2)
+    ref_state = AdamState.for_params(ref_params, learning_rate=1e-2)
+    for step in range(4):
+        grads = []
+        for s in shapes:
+            if len(s) == 2 and step % 2:
+                # the layout backward gives weight gradients: a transposed view
+                grads.append(rng.normal(size=s[::-1]).T)
+            else:
+                grads.append(rng.normal(size=s) * 10.0 ** step)
+        adam_step(state, params, grads)
+        _oracle_adam_step(ref_state, ref_params, grads)
+        _assert_same_adam(state, params, ref_state, ref_params)
+
+
+def test_adam_backward_dict_is_bit_identical_to_the_whole_array_formula():
+    rng = np.random.default_rng(8)
+    # the 500 x 40 weight is walked in blocks, its gradient a transposed view
+    net = Mlp.create([40, 500, 3], rng)
+    ref_params = [Tensor(p.data.copy()) for p in net.parameters()]
+    state = AdamState.for_params(net.parameters())
+    ref_state = AdamState.for_params(ref_params)
+    for _ in range(3):
+        tape = Tape()
+        out = mlp_forward(net, rng.normal(size=(16, 40)), tape=tape)
+        grads = backward(tape, tsum(mul(out, out)))
+        _oracle_adam_step(ref_state, ref_params,
+                          [grads[p] for p in net.parameters()])
+        adam_step(state, net.parameters(), grads)
+        _assert_same_adam(state, net.parameters(), ref_state, ref_params)
+
+
+def test_adam_allocates_no_parameter_sized_temporary():
+    rng = np.random.default_rng(9)
+    p = Tensor(rng.normal(size=(1000, 1000)))
+    state = AdamState.for_params([p])
+    grad = rng.normal(size=(1000, 1000)).T
+    tracemalloc.start()
+    try:
+        adam_step(state, [p], [grad])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < p.data.nbytes / 8
 
 
 def test_adam_converges_on_quadratic():
