@@ -1,9 +1,10 @@
 """Graph-guided contrastive clustering for incomplete, noisy multi-view data.
 
 The package trains one autoencoder per view, ties the views together with
-two graph-contrastive objectives (a global affinity graph over all view
-features and a locally weighted cross-view term), mean-fuses the learned
-features over each sample's available views and clusters them with k-means.
+two contrastive objectives (pairs picked from a global affinity graph over
+all view features, and an unweighted cross-view InfoNCE term over each view
+pair's co-available samples), mean-fuses the learned features over each
+sample's available views and clusters them with k-means.
 """
 
 from .config import Config

@@ -44,7 +44,7 @@ from .pipeline import TrainHistory, evaluate, build_model, pretrain, train
 
 logger = logging.getLogger(__name__)
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 # every config key with its default, as a plain dict
 DEFAULTS = asdict(Config())

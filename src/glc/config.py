@@ -64,10 +64,6 @@ _FRACTION = _number("a number in [0, 1]", lambda v: 0 <= v <= 1)
 _PERCENT = _number("a number in (0, 100]", lambda v: 0 < v <= 100)
 
 
-def _sigma(name, value):
-    return value if value == "median" else _POSITIVE(name, value)
-
-
 # keyword arguments of glc.data.make_synthetic
 _SYNTHETIC = {"n_samples": _count(1), "n_views": _count(1),
               "n_classes": _count(2), "dims": _list_of(_count(1)),
@@ -84,7 +80,8 @@ def _synthetic(name, value):
 def parse_synthetic_spec(text):
     """Parse ``synthetic:n=300,v=3,k=3,dims=12|10|8,sep=2.0,noise=1.0``.
 
-    ``dims`` gives one width per view, or one width for every view.
+    ``dims`` gives one width per view, or one width for every view.  The
+    result is checked by the same rules as the ``synthetic`` object.
     """
     body = text.split(":", 1)[1] if ":" in text else ""
     spec = {}
@@ -110,7 +107,7 @@ def parse_synthetic_spec(text):
         raise ConfigError(f"bad synthetic spec: {err}") from err
     if spec:
         raise ConfigError(f"unknown synthetic spec keys: {sorted(spec)}")
-    return out
+    return _synthetic("dataset", out)
 
 
 def _key(default, rule):
@@ -137,7 +134,6 @@ class Config:
     tau: float = _key(0.5, _POSITIVE)
     pos: float = _key(1.0, _PERCENT)
     neg: float = _key(50.0, _PERCENT)
-    sigma: str | float = _key("median", _sigma)
     lr: float = _key(1e-3, _POSITIVE)
     batch: int = _key(256, _count(2))
     profile: str = _key("paper", _one_of(tuple(PROFILES)))

@@ -1,21 +1,22 @@
 """Affinity graphs and graph-guided contrastive losses.
 
-Two graph constructions drive the objectives:
+Two objectives drive training:
 
 * a global cosine-similarity graph over the concatenated contrastive
   features of every view in the batch, from which the most-similar pairs
   per anchor become positives and the least-similar become negatives;
-* per view pair, Gaussian kernels on the co-available features whose
-  product propagates neighborhood structure across views; its diagonal
-  gives one weight per same-sample positive pair of the local
-  contrastive loss.
+* per view pair, a cross-view InfoNCE loss over the co-available rows,
+  whose positive for each anchor is the same sample in the other view.
 
-The propagated-diagonal weights enter the local loss only as the constant
-``-sum_i log w_i``, computed in log space, so they shift its value and
-change no gradient.  Pair selection picks each anchor's partners by a
-partition, ordered as a stable full sort would order them.  Gradients
-flow only through the similarity entries that the pair sets select, never
-through set membership itself.
+The paper weights each cross-view pair by the diagonal of a propagated
+local Gaussian-kernel graph.  That weighting is not part of the objective:
+:func:`lwc_total` is plain cross-view InfoNCE.  The kernels, their
+propagated diagonal and the weighted :func:`lwc_loss` remain as reference
+functions; a weight that enters only as the constant ``-sum_i log w_i``
+changes no gradient, so the weighted and the plain loss share one.  Pair
+selection picks each anchor's partners by a partition, ordered as a stable
+full sort would order them.  Gradients flow only through the similarity
+entries that the pair sets select, never through set membership itself.
 """
 
 import logging
@@ -236,27 +237,12 @@ def local_affinity(h_u, h_v, sigma):
     return np.exp(-_sqdist(a, b) / sigma)
 
 
-def _gram_sqdist(a, b):
-    """Pairwise squared distances ||a||^2 + ||b||^2 - 2ab^T, clamped at 0.
-
-    One BLAS product; rounding can differ from :func:`_sqdist` in the
-    last digits, and the clamp removes the small negatives it can leave.
-    """
-    d = (a * a).sum(axis=1)[:, None] + (b * b).sum(axis=1)[None, :]
-    d -= 2.0 * (a @ b.T)
-    return np.maximum(d, 0.0, out=d)
-
-
-def _median_width(sq):
-    med = float(np.median(sq))
-    return med if med > 0.0 else 1.0
-
-
 def median_sigma(h_u, h_v):
     """Median of all squared cross-view distances; 1.0 if the median is 0."""
     a = h_u.data if isinstance(h_u, Tensor) else np.asarray(h_u, dtype=np.float64)
     b = h_v.data if isinstance(h_v, Tensor) else np.asarray(h_v, dtype=np.float64)
-    return _median_width(_sqdist(a, b))
+    med = float(np.median(_sqdist(a, b)))
+    return med if med > 0.0 else 1.0
 
 
 def high_order_graph(w_uv, w_vv):
@@ -339,24 +325,17 @@ def lwc_loss(h_u, h_v, weights, temperature):
         raise ShapeError("weights do not match the co-available rows")
     if not np.all(diag > 0.0) or not np.isfinite(diag).all():
         raise NumericError("pair weights must be finite and positive "
-                           "(kernel underflow or bad sigma)")
+                           "(kernel underflow or bad kernel width)")
     return _cross_view_contrast(h_u, h_v, temperature, log_weights=np.log(diag))
 
 
-def lwc_total(h_list, co_available, temperature, sigma="median"):
-    """Sum the weighted loss over all unordered view pairs.
+def lwc_total(h_list, co_available, temperature):
+    """Sum the cross-view contrastive loss over all unordered view pairs.
 
     ``co_available`` maps (u, v) with u < v to the pair's local row
-    indices.  Per pair and per batch the weights come from the current
-    features: sigma is the median squared cross-view distance (or a fixed
-    value), and row i's propagated-diagonal weight is
-    ``w_i = sum_j exp(-(d_uv[i, j] + d_vv[i, j]) / sigma)``, the diagonal
-    of :func:`high_order_graph` on the two Gaussian kernels.  It is taken
-    in log space, ``log w_i = logsumexp_j(-(d_uv + d_vv) / sigma)``, so no
-    sigma can underflow it.  The weights enter the loss only as the
-    constant ``-sum_i log w_i``: they shift the value and change no
-    gradient.  Pairs with fewer than 2 common samples are skipped with a
-    warning.
+    indices; each pair adds :func:`pairwise_contrastive_loss` on those
+    rows.  No pair weights enter: this is plain cross-view InfoNCE.  Pairs
+    with fewer than 2 common samples are skipped with a warning.
     """
     total = Tensor(0.0)
     n_views = len(h_list)
@@ -371,13 +350,5 @@ def lwc_total(h_list, co_available, temperature, sigma="median"):
                 continue
             a = nn.take_rows(_as_tensor(h_list[u]), rows_u)
             b = nn.take_rows(_as_tensor(h_list[v]), rows_v)
-            d_uv = _gram_sqdist(a.data, b.data)
-            s = _median_width(d_uv) if sigma == "median" else float(sigma)
-            if s <= 0.0:
-                raise ConfigError("sigma must be positive")
-            x = (d_uv + _gram_sqdist(b.data, b.data)) / -s
-            peak = x.max(axis=1)
-            log_w = peak + np.log(np.exp(x - peak[:, None]).sum(axis=1))
-            total = nn.add(total, _cross_view_contrast(
-                a, b, temperature, log_weights=log_w))
+            total = nn.add(total, pairwise_contrastive_loss(a, b, temperature))
     return total

@@ -1,11 +1,13 @@
 """Training, fusion, clustering and evaluation.
 
 Training follows a two-phase schedule: a reconstruction-only warm-up, then
-joint optimization of reconstruction plus the two graph-contrastive terms,
+joint optimization of reconstruction plus the two contrastive terms,
 
-    total = rec + alpha * global_graph_term + beta * local_weighted_term,
+    total = rec + alpha * global_graph_term + beta * cross_view_term,
 
-rebuilding both graphs from the current features on every mini-batch.
+rebuilding the global graph from the current features on every mini-batch;
+the cross-view term is plain InfoNCE over each view pair's co-available
+samples (the paper's local pair weights are not part of it).
 Evaluation mean-fuses the contrastive features of each sample's available
 views and clusters them with k-means; reported numbers are the mean and
 population std over several k-means seeds on the frozen features (a full
@@ -138,7 +140,7 @@ def _epoch_pass(model, dataset, config, rng, params, opt, phase, epoch_index):
                   for u in range(len(hs)) for v in range(u + 1, len(hs))}
             if any(len(iu) >= 2 for iu in (p[0] for p in co.values())):
                 skipped_pairs_everywhere = False
-            lwc = lwc_total(hs, co, config.tau, sigma=config.sigma)
+            lwc = lwc_total(hs, co, config.tau)
         loss = total_loss(rec, ggc if ggc is not None else 0.0,
                           lwc if lwc is not None else 0.0,
                           config.alpha if contrastive else 0.0,
@@ -158,7 +160,7 @@ def _epoch_pass(model, dataset, config, rng, params, opt, phase, epoch_index):
         sums["total"] += value
     if contrastive and config.beta > 0 and skipped_pairs_everywhere:
         logger.warning("epoch %d: no view pair had 2+ common samples; the "
-                       "local weighted term was inert", epoch_index)
+                       "cross-view term was inert", epoch_index)
     return sums
 
 

@@ -112,17 +112,6 @@ def test_exit_code_numeric_abort(tmp_path, fast_cfg):
     assert code == 3
 
 
-def test_tiny_fixed_sigma_trains(tmp_path, fast_cfg):
-    # the lwc weights are taken in log space, so a kernel width far below
-    # every feature distance cannot underflow them into a numeric abort
-    cfg = json.loads(Path(fast_cfg).read_text())
-    cfg["sigma"] = 1e-5
-    tiny = tmp_path / "tiny_sigma.json"
-    tiny.write_text(json.dumps(cfg))
-    assert main(["train", "--dataset", SPEC, "--profile", "desk",
-                 "--config", str(tiny), "--out", str(tmp_path / "o")]) == 0
-
-
 def test_exit_code_bad_rates_list(tmp_path):
     assert main(["sweep", "--dataset", SPEC, "--rates", "0.1,abc",
                  "--out", str(tmp_path)]) == 1
@@ -157,6 +146,10 @@ def test_train_with_one_shared_synthetic_width(tmp_path, fast_cfg):
     ("train", {"seed": 1.5}, []),
     ("ablate", {"settings": ["bogus"]}, []),
     ("sweep", {}, ["--rates", "0.1,1.5"]),
+    ("train", {}, ["--dataset", "synthetic:n=0,v=2,k=3"]),
+    ("train", {}, ["--dataset", "synthetic:n=-3,v=2,k=3"]),
+    ("train", {}, ["--dataset", "synthetic:n=30,v=2,k=3,dims=0|4"]),
+    ("train", {}, ["--dataset", "synthetic:n=30,v=2,k=3,seed=-1"]),
 ])
 def test_bad_config_exits_1_before_any_cell(tmp_path, command, config, extra):
     # run as a process, so an uncaught exception would show as a traceback
@@ -244,7 +237,7 @@ def test_train_artifacts_and_report_schema(tmp_path, fast_cfg):
     assert set(report) == {"schema_version", "config", "config_hash",
                            "dataset", "results", "final_loss", "artifacts",
                            "wall_time_s"}
-    assert report["schema_version"] == 2
+    assert report["schema_version"] == 3
     assert report["config"]["alpha"] == 0.1
     assert report["config"]["beta"] == 1.0
     assert report["config"]["tau"] == 0.5

@@ -60,7 +60,7 @@ def test_config_validation():
     with pytest.raises(ConfigError):
         Config(pos=60.0, neg=50.0)
     with pytest.raises(ConfigError):
-        Config(sigma=-1.0)
+        Config.from_dict({"sigma": "median"})
     with pytest.raises(ConfigError):
         Config(batch=1)
     with pytest.raises(ConfigError):
