@@ -14,9 +14,11 @@ local Gaussian-kernel graph.  That weighting is not part of the objective:
 propagated diagonal and the weighted :func:`lwc_loss` remain as reference
 functions; a weight that enters only as the constant ``-sum_i log w_i``
 changes no gradient, so the weighted and the plain loss share one.  Pair
-selection picks each anchor's partners by a partition, ordered as a stable
-full sort would order them.  Gradients flow only through the similarity
-entries that the pair sets select, never through set membership itself.
+selection sorts each anchor's row of the graph once and reads both partner
+sets off that order; a row with a tied, NaN or infinite similarity is
+selected again by two stable sorts, so ties always go to the lower index.
+Gradients flow only through the similarity entries that the pair sets
+select, never through set membership itself.
 """
 
 import logging
@@ -120,26 +122,26 @@ class PairSets:
         return np.repeat(np.arange(n), k), self.positives.reshape(-1)
 
 
-def _first_k(key, k):
-    """The first ``k`` columns of a stable row-wise argsort of ``key``.
+def _stable_pairs(sims, selves, n_pos, n_neg):
+    """Positives and negatives of some rows of a graph by two stable sorts.
 
-    A partition finds each row's k smallest keys and a plain sort orders
-    them; that order is the stable one unless a row has an exact tie among
-    its k smallest or at the k-th value, and only those rows are sorted
-    again in full, stably (lower index first).
+    ``sims`` holds the rows and ``selves`` each row's own column.  This is
+    the reference rule: the ``n_pos`` largest other similarities, then the
+    ``n_neg`` smallest of what remains, ties broken by lower index and NaN
+    last.  Self and positives are removed from the orders, not keyed past
+    the candidates, so no NaN or infinite similarity can let them back in.
     """
-    part = np.argpartition(key, k - 1, axis=1)[:, :k]
-    vals = np.take_along_axis(key, part, axis=1)
-    order = np.argsort(vals, axis=1)
-    first = np.take_along_axis(part, order, axis=1)
-    vals = np.take_along_axis(vals, order, axis=1)
-    kth = vals[:, -1:]
-    # "not strictly increasing" also catches NaN and inf - inf
-    tied = ~(np.diff(vals, axis=1) > 0.0).all(axis=1)
-    tied |= (key <= kth).sum(axis=1) > k
-    if tied.any():
-        first[tied] = np.argsort(key[tied], axis=1, kind="stable")[:, :k]
-    return first
+    r, n = sims.shape
+    rows = np.arange(r)[:, None]
+    desc = np.argsort(-sims, axis=1, kind="stable")
+    desc = desc[desc != selves[:, None]].reshape(r, n - 1)
+    positives = desc[:, :n_pos]
+    taken = np.zeros((r, n), dtype=bool)
+    taken[rows, positives] = True
+    taken[rows[:, 0], selves] = True
+    asc = np.argsort(sims, axis=1, kind="stable")
+    asc = asc[~np.take_along_axis(taken, asc, axis=1)].reshape(r, n - 1 - n_pos)
+    return positives, asc[:, :n_neg]
 
 
 def select_pairs(graph, pos_percent, neg_percent):
@@ -152,6 +154,14 @@ def select_pairs(graph, pos_percent, neg_percent):
     candidates, which keeps the sets disjoint; when the two rounded counts
     would overlap (only possible when pos+neg is at the 100 cap on a tiny
     graph) the negative count shrinks to the remaining candidates.
+
+    One row-wise sort serves both sets: with the diagonal keyed ``+inf``,
+    the negatives are the first ``n_neg`` columns of the ascending order
+    and the positives the ``n_pos`` columns just before the diagonal, read
+    backwards.  On a row whose other similarities are finite and distinct
+    every correct sort gives that one order, so the result does not depend
+    on the sort algorithm.  A row with a tie, a NaN or an infinity is
+    selected again, on its own, by two stable sorts.
     Selection is discrete: no gradient flows through it.
     """
     if not (0.0 < pos_percent and 0.0 < neg_percent):
@@ -170,16 +180,22 @@ def select_pairs(graph, pos_percent, neg_percent):
             f"{n_pos} positives per anchor)")
 
     sims = graph.sims.data
-    desc_key = -sims
-    np.fill_diagonal(desc_key, np.inf)          # push self past every candidate
-    positives = _first_k(desc_key, n_pos)
-
-    asc_key = sims.copy()
-    rows = np.arange(n)[:, None]
-    asc_key[rows, positives] = np.inf           # positives leave the pool
-    np.fill_diagonal(asc_key, np.inf)
-    negatives = _first_k(asc_key, n_neg)
-
+    key = sims.copy()
+    np.fill_diagonal(key, np.inf)               # self sorts after every candidate
+    order = np.argsort(key, axis=1)
+    # copies, so the N x N order is freed before the step's backward pass
+    negatives = order[:, :n_neg].copy()
+    positives = order[:, candidates - n_pos:candidates][:, ::-1].copy()
+    # a row is settled when its N-1 smallest keys are finite and strictly
+    # increasing; a NaN or inf candidate pushes the diagonal's inf into them
+    key.sort(axis=1)
+    vals = key[:, :candidates]
+    settled = (vals[:, 1:] > vals[:, :-1]).all(axis=1)
+    settled &= np.isfinite(vals[:, 0]) & np.isfinite(vals[:, -1])
+    if not settled.all():
+        redo = np.flatnonzero(~settled)
+        positives[redo], negatives[redo] = _stable_pairs(sims[redo], redo,
+                                                         n_pos, n_neg)
     return PairSets(positives=positives, negatives=negatives,
                     pos_percent=float(pos_percent),
                     neg_percent=float(neg_percent))

@@ -7,7 +7,8 @@ appends a node, and ``backward`` replays the nodes in reverse order to
 accumulate a gradient for every watched parameter.  The op set is exactly
 what dense MLPs, affinity graphs and log-sum-exp contrastive losses need;
 log-sum-exp subtracts the row maximum so large similarity/temperature
-ratios cannot overflow.
+ratios cannot overflow.  The gathers' VJPs scatter with ``np.bincount``:
+repeated indices add in index order from 0.0, byte-equal to ``np.add.at``.
 
 A tape is meant for a single forward/backward cycle.  ``backward`` detaches
 the watched parameters and every recorded node from the tape afterwards,
@@ -305,17 +306,35 @@ def concat_cols(parts):
     return _attach(np.concatenate([p.data for p in parts], axis=1), parts, vjp)
 
 
+def _scatter_add(shape, flat, g):
+    """Sum ``g`` into float64 zeros of ``shape`` at C-order offsets ``flat``.
+
+    ``bincount`` adds in input order starting from 0.0, as ``np.add.at``
+    does, so the result is byte-equal to ``np.add.at`` on the same entries.
+    """
+    if flat.size == 0:
+        return np.zeros(shape)
+    return np.bincount(flat.reshape(-1), weights=g.reshape(-1),
+                       minlength=math.prod(shape)).reshape(shape)
+
+
+def _nonneg(idx, size):
+    """Indices with negative entries wrapped the way indexing wraps them."""
+    return np.where(idx < 0, idx + size, idx) if (idx < 0).any() else idx
+
+
 def take_rows(a, idx):
-    """Select rows (or 1-D entries) by index; duplicates accumulate in reverse."""
+    """Select rows (or 1-D entries) by index; repeats accumulate in index order."""
     a = _wrap(a)
     idx = np.asarray(idx, dtype=np.intp)
 
     def vjp(g):
         if not a.requires_grad:
             return (None,)
-        out = np.zeros_like(a.data)
-        np.add.at(out, idx, g)
-        return (out,)
+        shape = a.data.shape
+        inner = math.prod(shape[1:])
+        flat = _nonneg(idx, shape[0])[..., None] * inner + np.arange(inner)
+        return (_scatter_add(shape, flat, g),)
 
     return _attach(a.data[idx], (a,), vjp)
 
@@ -329,9 +348,9 @@ def gather_pairs(a, rows, cols):
     def vjp(g):
         if not a.requires_grad:
             return (None,)
-        out = np.zeros_like(a.data)
-        np.add.at(out, (rows, cols), g)
-        return (out,)
+        n_rows, n_cols = a.data.shape
+        flat = _nonneg(rows, n_rows) * n_cols + _nonneg(cols, n_cols)
+        return (_scatter_add(a.data.shape, flat, g),)
 
     return _attach(a.data[rows, cols], (a,), vjp)
 
@@ -351,9 +370,9 @@ def gather_cols(a, cols, rows=None):
     def vjp(g):
         if not a.requires_grad:
             return (None,)
-        out = np.zeros_like(a.data)
-        np.add.at(out, (row_grid, cols), g)
-        return (out,)
+        n_rows, n_cols = a.data.shape
+        flat = _nonneg(rows, n_rows)[:, None] * n_cols + _nonneg(cols, n_cols)
+        return (_scatter_add(a.data.shape, flat, g),)
 
     return _attach(a.data[row_grid, cols], (a,), vjp)
 

@@ -219,6 +219,53 @@ def test_select_matches_oracle_on_a_large_graph_with_ties():
         assert (asc[:, n_neg - 1] == asc[:, n_neg]).any()
 
 
+def test_select_matches_oracle_on_a_large_tie_free_graph():
+    # every row's candidates are distinct and finite, so every row takes
+    # the one-sort path
+    rng = np.random.default_rng(21)
+    g = _graph_from_features(rng.normal(size=(700, 8)))
+    key = g.sims.data.copy()
+    np.fill_diagonal(key, np.inf)
+    cands = np.sort(key, axis=1)[:, :-1]
+    assert (np.diff(cands, axis=1) > 0.0).all() and np.isfinite(cands).all()
+    pairs = select_pairs(g, 1.0, 50.0)
+    want_pos, want_neg = oracle_select(g.sims.data, 1.0, 50.0)
+    np.testing.assert_array_equal(pairs.positives, want_pos)
+    np.testing.assert_array_equal(pairs.negatives, want_neg)
+
+
+def test_select_matches_oracle_with_a_nan_similarity():
+    # the NaN sits in the last column, where the oracle's sorted() keeps it
+    # last in both orders, as a stable numpy sort does; on the one-sort
+    # path it would sort past the diagonal and end up among the positives
+    rng = np.random.default_rng(22)
+    g = _graph_from_features(rng.normal(size=(20, 5)))
+    g.sims.data[7, 19] = np.nan
+    for pos_pct, neg_pct in ((10.0, 40.0), (25.0, 75.0)):
+        pairs = select_pairs(g, pos_pct, neg_pct)
+        want_pos, want_neg = oracle_select(g.sims.data, pos_pct, neg_pct)
+        np.testing.assert_array_equal(pairs.positives, want_pos)
+        np.testing.assert_array_equal(pairs.negatives, want_neg)
+    assert pairs.negatives[7, -1] == 19
+
+
+def test_select_matches_oracle_with_ties_at_the_full_boundary():
+    # pos + neg = 100 selects every candidate; similarities on a coarse
+    # grid tie across the positive/negative boundary
+    rng = np.random.default_rng(23)
+    sims = np.round(rng.uniform(-1.0, 1.0, size=(21, 21)), 1)
+    sims = np.triu(sims, 1) + np.triu(sims, 1).T + np.eye(21)
+    g = _manual_graph(sims)
+    pairs = select_pairs(g, 30.0, 70.0)
+    want_pos, want_neg = oracle_select(sims, 30.0, 70.0)
+    np.testing.assert_array_equal(pairs.positives, want_pos)
+    np.testing.assert_array_equal(pairs.negatives, want_neg)
+    n_pos = want_pos.shape[1]
+    desc = np.sort(np.where(np.eye(21, dtype=bool), -np.inf, sims),
+                   axis=1)[:, ::-1]
+    assert (desc[:, n_pos - 1] == desc[:, n_pos]).any()
+
+
 def test_select_scale_invariance_exact():
     rng = np.random.default_rng(5)
     x = rng.normal(size=(12, 4))

@@ -259,6 +259,48 @@ def test_grad_check_gather_ops():
     assert grad_check(loss, [p]) < 1e-7
 
 
+_DUP = np.array([2, 0, 2, -1, 4, 2, -5])     # repeats, negatives
+_NONE = np.array([], dtype=np.intp)
+_COLS = np.array([[1, 1, -1], [0, 5, 5], [2, -6, 2]])
+
+_GATHER_CASES = {
+    "take_rows_1d": ((5,), lambda t: take_rows(t, _DUP), (_DUP,)),
+    "take_rows_1d_empty": ((5,), lambda t: take_rows(t, _NONE), (_NONE,)),
+    "take_rows_2d": ((5, 3), lambda t: take_rows(t, _DUP), (_DUP,)),
+    "take_rows_2d_empty": ((5, 3), lambda t: take_rows(t, _NONE), (_NONE,)),
+    "gather_pairs": ((5, 4), lambda t: gather_pairs(t, _DUP, _DUP % 3 - 1),
+                     (_DUP, _DUP % 3 - 1)),
+    "gather_pairs_empty": ((5, 4), lambda t: gather_pairs(t, _NONE, _NONE),
+                           (_NONE, _NONE)),
+    "gather_cols": ((5, 6), lambda t: gather_cols(t, _COLS),
+                    (np.arange(3)[:, None], _COLS)),
+    "gather_cols_rows": ((5, 6),
+                         lambda t: gather_cols(t, _COLS, rows=[4, -1, 4]),
+                         (np.array([[4], [-1], [4]]), _COLS)),
+    "gather_cols_empty": ((5, 6),
+                          lambda t: gather_cols(t, _NONE.reshape(0, 3)),
+                          (_NONE[:, None], _NONE.reshape(0, 3))),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_GATHER_CASES))
+def test_gather_vjps_are_byte_equal_to_add_at(case):
+    # the scatter must add duplicates in index order starting from +0.0,
+    # as np.add.at does: sums of +-1e16 and 1.0 depend on that order, and
+    # a -0.0 that lands alone on an entry must come out as +0.0
+    shape, gather, where = _GATHER_CASES[case]
+    rng = np.random.default_rng(17)
+    p = Tensor(rng.normal(size=shape))
+    Tape().watch(p)
+    out = gather(p)
+    g = rng.choice([1e16, -1e16, 1.0, -0.0], size=out.data.shape)
+    (got,) = out._vjp(g)
+    want = np.zeros(shape)
+    np.add.at(want, where, g)
+    assert got.dtype == np.float64 and got.shape == shape
+    assert got.tobytes() == want.tobytes()
+
+
 def test_grad_check_logsumexp_masked():
     rng = np.random.default_rng(16)
     p = _rand(rng, 4, 6)
