@@ -15,8 +15,10 @@ SHA-256 of (master seed, setting, rate), so adding cells never reshuffles
 existing ones and any cell can be reproduced in isolation.
 
 ``GLC_THREADS`` caps how many sweep cells run in parallel processes (a
-positive integer; default 1, serial).  Exit codes: 0 success,
-1 configuration error, 2 I/O error, 3 numerical abort during training.
+positive integer; default 1, serial); each cell's training may keep one
+more thread busy with Adam updates (:func:`glc.nn.adam_helper`).  Exit
+codes: 0 success, 1 configuration error, 2 I/O error, 3 numerical abort
+during training.
 """
 
 import argparse
@@ -239,6 +241,11 @@ def run_cell(cfg, setting, rate, ablation, out_dir=None):
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
         history.write_csv(out / "history.csv")
+        # wall times vary run to run, so they stay out of the reproducible
+        # history.csv and report.json
+        _write_json(out / "timings.json",
+                    [{"epoch": r.epoch, "phase": r.phase, "seconds": r.seconds}
+                     for r in history.records])
         save_checkpoint(model, out / "checkpoint.npz")
         result["artifacts"] = {"history_csv": "history.csv",
                                "checkpoint": "checkpoint.npz"}

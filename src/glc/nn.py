@@ -20,12 +20,22 @@ without a tape record nothing.
 Matrix products go through numpy's BLAS.  Those kernels are deterministic
 for a fixed environment and BLAS thread count; the thread count comes from
 the BLAS library's own variables (``OPENBLAS_NUM_THREADS``,
-``OMP_NUM_THREADS``, ...), exported before numpy is loaded.
-``GLC_THREADS`` does not touch it: it only sets how many sweep cells the
-command line runs in parallel processes.
+``OMP_NUM_THREADS``, ...), exported before numpy is loaded; nothing here
+sets it.  ``GLC_THREADS`` does not touch it either: it only sets how many
+sweep cells the command line runs in parallel processes.
+
+Training uses one helper thread of its own (:func:`adam_helper`): each
+parameter of more than ``_BLOCK`` elements gets its Adam update there as
+soon as ``backward`` has its final gradient, while the calling thread
+finishes the reverse sweep.  Adam is elementwise and independent per
+parameter, so results stay bit-identical to the sequential update.  With
+``GLC_THREADS=N`` up to 2N threads can be busy, plus BLAS's own.
 """
 
 import math
+import queue
+import threading
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -412,34 +422,68 @@ def logsumexp_rows(a, mask=None):
 # backward
 # ---------------------------------------------------------------------------
 
-def backward(tape, loss):
+def _earliest_consumers(tape):
+    """Node index -> the watched parameters it is the earliest consumer of."""
+    unseen = {id(p): p for p in tape._watched}
+    at = {}
+    for k, node in enumerate(tape._nodes):
+        for parent in node._parents:
+            param = unseen.pop(id(parent), None)
+            if param is not None:
+                at.setdefault(k, []).append(param)
+    return at
+
+
+def backward(tape, loss, hand_off=None):
     """Accumulate d(loss)/d(param) for every watched parameter.
 
     Returns a dict keyed by the parameter tensors; parameters that do not
     influence the loss get zero gradients.  The tape's watched parameters
     and recorded nodes are released afterwards, so subsequent tape-less
     forward passes record nothing.
+
+    With ``hand_off``, each watched parameter's gradient is also passed to
+    ``hand_off(param, grad)``, on the calling thread, as soon as it is
+    final: right after the sweep passes the parameter's earliest consumer
+    on the tape, since no node recorded before that one can reach the
+    parameter or anything computed from it.  A parameter that nothing
+    consumes is passed at the end.  ``grad`` is the array the dict holds;
+    the sweep never writes into a gradient once made.
     """
     if not isinstance(loss, Tensor) or loss.tape is not tape:
         raise ValueError("loss was not computed on this tape")
     if loss.data.size != 1:
         raise ShapeError("loss must be a scalar")
 
+    def final(param):
+        g = grads.get(id(param))
+        return np.zeros_like(param.data) if g is None else np.asarray(g)
+
+    nodes = tape._nodes
+    final_at = _earliest_consumers(tape) if hand_off is not None else {}
+    handed = {}
     grads = {id(loss): np.ones_like(loss.data)}
-    for node in reversed(tape._nodes):
+    for k in range(len(nodes) - 1, -1, -1):
+        node = nodes[k]
         g = grads.pop(id(node), None)
-        if g is None:
-            continue
-        for parent, pg in zip(node._parents, node._vjp(g)):
-            if pg is None:
-                continue
-            held = grads.get(id(parent))
-            grads[id(parent)] = pg if held is None else held + pg
+        if g is not None:
+            for parent, pg in zip(node._parents, node._vjp(g)):
+                if pg is None:
+                    continue
+                held = grads.get(id(parent))
+                grads[id(parent)] = pg if held is None else held + pg
+        for param in final_at.get(k, ()):
+            handed[param] = final(param)
+            hand_off(param, handed[param])
 
     result = {}
     for param in tape._watched:
-        g = grads.get(id(param))
-        result[param] = np.zeros_like(param.data) if g is None else np.asarray(g)
+        if param in handed:
+            result[param] = handed[param]
+        else:
+            result[param] = final(param)
+            if hand_off is not None:
+                hand_off(param, result[param])
         param.tape = None
     # nodes point back at the tape that lists them; cutting that link lets
     # reference counting free the step, without waiting for the cyclic GC
@@ -574,7 +618,8 @@ class AdamState:
 
     ``_blocks`` holds, per parameter, the blocks :func:`adam_step` walks and
     their views of one block-sized scratch buffer; the first step builds it
-    and every later step reuses it.
+    and every later step reuses it.  ``_helper`` is the helper thread
+    :func:`adam_helper` attaches while it is open.
     """
 
     learning_rate: float = 1e-3
@@ -585,6 +630,7 @@ class AdamState:
     first_moment: list = field(default_factory=list)
     second_moment: list = field(default_factory=list)
     _blocks: list = field(default=None, init=False, repr=False, compare=False)
+    _helper: object = field(default=None, init=False, repr=False, compare=False)
 
     @classmethod
     def for_params(cls, params, learning_rate=1e-3, beta1=0.9, beta2=0.999,
@@ -617,6 +663,33 @@ def _adam_update(state, bias1, bias2, p, m, v, g, t, u):
     p -= t
 
 
+def _update_param(state, bias1, bias2, p, m, v, g, blocks):
+    """Walk one parameter's ``blocks`` (from :func:`_block_plan`) through
+    :func:`_adam_update`.
+
+    A gradient block that is not C-contiguous is first copied into the
+    block's scratch: it is then read once, and no pass mixes layouts.
+    """
+    for i, t, u in blocks:
+        gb = g[i]
+        if not gb.flags.c_contiguous:
+            np.copyto(u, gb)
+            gb = u
+        _adam_update(state, bias1, bias2, p[i], m[i], v[i], gb, t, u)
+
+
+def _bias_corrections(state, step):
+    return 1.0 - state.beta1 ** step, 1.0 - state.beta2 ** step
+
+
+def _check_shapes(p, m, v, g):
+    if g.shape != p.data.shape:
+        raise ShapeError(
+            f"gradient shape {g.shape} != parameter shape {p.data.shape}")
+    if m.shape != p.data.shape or v.shape != p.data.shape:
+        raise ShapeError("optimizer state does not match the parameter list")
+
+
 def adam_step(state, params, grads):
     """One Adam update with bias correction, applied in place.
 
@@ -641,39 +714,145 @@ def adam_step(state, params, grads):
     gradients as transposed views) is first copied into the scratch: it is
     then read once, and no later pass mixes layouts, which runs at about
     half speed.
+
+    Inside :func:`adam_helper`, the parameters ``backward`` handed off
+    since the last step are already being updated on the helper thread,
+    each checked at its hand-off before it was touched.  This call checks
+    and updates the rest inline, then waits for the helper and re-raises
+    the first exception it met.  A bad gradient here still raises
+    ``ShapeError`` before any inline update, but the handed-off parameters
+    have had their update.
     """
-    moments = state.first_moment, state.second_moment
-    if any(len(ms) != len(params) for ms in moments):
-        raise ShapeError("optimizer state does not match the parameter list")
-    if isinstance(grads, dict):
-        grad_list = [grads[p] for p in params]
-    else:
-        grad_list = list(grads)
-        if len(grad_list) != len(params):
-            raise ShapeError("gradient list does not match the parameter list")
-    grad_list = [np.asarray(g, dtype=np.float64) for g in grad_list]
-    for p, m, v, g in zip(params, *moments, grad_list):
-        if g.shape != p.data.shape:
-            raise ShapeError(
-                f"gradient shape {g.shape} != parameter shape {p.data.shape}")
-        if m.shape != p.data.shape or v.shape != p.data.shape:
+    helper = state._helper
+    handed = helper.take_handed() if helper is not None else ()
+    try:
+        moments = state.first_moment, state.second_moment
+        if any(len(ms) != len(params) for ms in moments):
             raise ShapeError(
                 "optimizer state does not match the parameter list")
+        if any(params[i] is not helper.params[i] for i in handed):
+            raise ValueError("adam_step got other parameters than the ones "
+                             "backward handed off")
+        if isinstance(grads, dict):
+            grad_list = [grads[p] for p in params]
+        else:
+            grad_list = list(grads)
+            if len(grad_list) != len(params):
+                raise ShapeError(
+                    "gradient list does not match the parameter list")
+        grad_list = [np.asarray(g, dtype=np.float64) for g in grad_list]
+        for p, m, v, g in zip(params, *moments, grad_list):
+            _check_shapes(p, m, v, g)
 
-    if state._blocks is None:
-        state._blocks = _block_plan([m.shape for m in moments[0]])
-    state.step += 1
-    bias1 = 1.0 - state.beta1 ** state.step
-    bias2 = 1.0 - state.beta2 ** state.step
-    for p, m, v, g, blocks in zip(params, *moments, grad_list,
-                                  state._blocks):
-        for i, t, u in blocks:
-            gb = g[i]
-            if not gb.flags.c_contiguous:
-                np.copyto(u, gb)
-                gb = u
-            _adam_update(state, bias1, bias2, p.data[i], m[i], v[i], gb, t, u)
+        if state._blocks is None:
+            state._blocks = _block_plan([m.shape for m in moments[0]])
+        state.step += 1
+        bias1, bias2 = _bias_corrections(state, state.step)
+        for k, (p, m, v, g, blocks) in enumerate(
+                zip(params, *moments, grad_list, state._blocks)):
+            if k not in handed:
+                _update_param(state, bias1, bias2, p.data, m, v, g, blocks)
+    finally:
+        if handed:
+            helper.wait()
     return params, state
+
+
+class _AdamHelper:
+    """One thread running the Adam updates of the parameters handed to it."""
+
+    def __init__(self, state, params, indices):
+        self.state = state
+        self.params = params
+        self._index = {id(params[i]): i for i in indices}
+        # its own scratch: the inline updates run at the same time
+        plan = _block_plan([params[i].data.shape for i in indices])
+        self._blocks = dict(zip(indices, plan))
+        self._handed = set()
+        self._jobs = queue.Queue()
+        self._error = None
+        self._thread = threading.Thread(target=self._run, name="glc-adam",
+                                        daemon=True)
+        self._thread.start()
+
+    def hand_off(self, param, grad):
+        """Queue the update of ``param`` if it is one of the helper's."""
+        i = self._index.get(id(param))
+        if i is None:
+            return
+        state = self.state
+        g = np.asarray(grad, dtype=np.float64)
+        _check_shapes(param, state.first_moment[i], state.second_moment[i], g)
+        if i in self._handed:
+            raise ValueError("a parameter was handed off twice in one step")
+        self._handed.add(i)
+        self._jobs.put((i, g, *_bias_corrections(state, state.step + 1)))
+
+    def take_handed(self):
+        """Indices handed off since the last call."""
+        handed, self._handed = self._handed, set()
+        return handed
+
+    def wait(self):
+        """Block until every queued update is done; re-raise its error."""
+        self._jobs.join()
+        error, self._error = self._error, None
+        if error is not None:
+            raise error
+
+    def close(self):
+        self._jobs.put(None)
+        self._thread.join()
+
+    def _run(self):
+        state = self.state
+        while True:
+            job = self._jobs.get()
+            try:
+                if job is None:
+                    return
+                if self._error is None:
+                    i, g, bias1, bias2 = job
+                    _update_param(state, bias1, bias2, self.params[i].data,
+                                  state.first_moment[i],
+                                  state.second_moment[i], g, self._blocks[i])
+            except BaseException as err:
+                # re-raised on the calling thread by ``wait``
+                self._error = err
+            finally:
+                # drop the gradient now, not when the next job arrives
+                job = g = None
+                self._jobs.task_done()
+
+
+@contextmanager
+def adam_helper(state, params):
+    """Overlap the Adam updates of large parameters with ``backward``.
+
+    Yields the ``hand_off`` to pass as ``backward(tape, loss, hand_off)``
+    before each ``adam_step(state, params, grads)``.  Each parameter of
+    more than ``_BLOCK`` elements is then updated on one helper thread as
+    soon as its gradient is final, while the calling thread finishes the
+    reverse sweep.  numpy's elementwise loops and BLAS release the GIL,
+    and Adam is elementwise and independent per parameter, so the results
+    are bit-identical to the sequential step.  The helper calls nothing but
+    this module's update loop.
+
+    Yields ``None`` and starts no thread when no parameter is that large.
+    The thread is joined when the block exits, whether it returns or
+    raises.
+    """
+    large = [i for i, p in enumerate(params) if p.data.size > _BLOCK]
+    if not large:
+        yield None
+        return
+    helper = _AdamHelper(state, params, large)
+    state._helper = helper
+    try:
+        yield helper.hand_off
+    finally:
+        state._helper = None
+        helper.close()
 
 
 # ---------------------------------------------------------------------------

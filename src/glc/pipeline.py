@@ -18,6 +18,14 @@ derive_seed(s, "init"), the warm-up batch order derive_seed(s, "pretrain"),
 the joint-phase batch order derive_seed(s, "train"), mid-training metric
 checkpoints derive_seed(s, "curve", epoch) and evaluation seeds
 derive_seed(s, "eval", i).  Two runs with equal configs are bit-identical.
+
+Each ``pretrain``/``train`` call opens one :func:`glc.nn.adam_helper`: when
+a parameter has more than ``glc.nn._BLOCK`` elements (the ``paper``
+profile's weights, no ``desk`` parameter) its Adam update runs on a helper
+thread as soon as ``backward`` hands its gradient off, and ``adam_step``
+waits for it before the next forward pass.  The thread is joined before the
+call returns or raises, and the result is bit-identical to updating every
+parameter after the backward pass.
 """
 
 import logging
@@ -33,7 +41,8 @@ from .graphs import build_global_graph, ggc_loss, lwc_total, select_pairs
 from .metrics import accuracy, ari, nmi
 from .model import (forward_views, init_model, model_parameters,
                     reconstruction_loss)
-from .nn import AdamState, Tape, adam_step, backward, mlp_forward, mul, add
+from .nn import (AdamState, Tape, adam_helper, adam_step, backward,
+                 mlp_forward, mul, add)
 from . import nn
 
 logger = logging.getLogger(__name__)
@@ -113,8 +122,13 @@ def _abort_diagnostics(feats, batch, rec, ggc, lwc):
     return "total", None
 
 
-def _epoch_pass(model, dataset, config, rng, params, opt, phase, epoch_index):
-    """One epoch of updates; returns the summed loss components."""
+def _epoch_pass(model, dataset, config, rng, params, opt, hand_off, phase,
+                epoch_index):
+    """One epoch of updates; returns the summed loss components.
+
+    ``hand_off`` comes from :func:`glc.nn.adam_helper` (``None`` when no
+    parameter is large enough to hand off).
+    """
     contrastive = phase == "train"
     sums = {"rec": 0.0, "ggc": 0.0, "lwc": 0.0, "total": 0.0}
     skipped_pairs_everywhere = True
@@ -152,7 +166,7 @@ def _epoch_pass(model, dataset, config, rng, params, opt, phase, epoch_index):
                 f"non-finite {comp} loss at epoch {epoch_index}, batch {bi}"
                 + (f", view {view}" if view is not None else ""),
                 epoch=epoch_index, batch=bi, view=view)
-        grads = backward(tape, loss)
+        grads = backward(tape, loss, hand_off)
         adam_step(opt, params, grads)
         sums["rec"] += float(rec.data)
         sums["ggc"] += float(ggc.data) if ggc is not None else 0.0
@@ -170,16 +184,17 @@ def pretrain(model, dataset, config, history=None):
     params = model_parameters(model)
     opt = AdamState.for_params(params, learning_rate=cfg.lr)
     rng = np.random.default_rng(derive_seed(cfg.seed, "pretrain"))
-    for _ in range(cfg.pretrain_epochs):
-        start = time.perf_counter()
-        epoch = history.next_epoch() if history is not None else 0
-        sums = _epoch_pass(model, dataset, cfg, rng, params, opt,
-                           "pretrain", epoch)
-        if history is not None:
-            history.records.append(EpochRecord(
-                epoch=epoch, phase="pretrain", rec=sums["rec"], ggc=0.0,
-                lwc=0.0, total=sums["total"],
-                seconds=time.perf_counter() - start))
+    with adam_helper(opt, params) as hand_off:
+        for _ in range(cfg.pretrain_epochs):
+            start = time.perf_counter()
+            epoch = history.next_epoch() if history is not None else 0
+            sums = _epoch_pass(model, dataset, cfg, rng, params, opt,
+                               hand_off, "pretrain", epoch)
+            if history is not None:
+                history.records.append(EpochRecord(
+                    epoch=epoch, phase="pretrain", rec=sums["rec"], ggc=0.0,
+                    lwc=0.0, total=sums["total"],
+                    seconds=time.perf_counter() - start))
     return model
 
 
@@ -195,24 +210,28 @@ def train(model, dataset, config, history=None):
     params = model_parameters(model)
     opt = AdamState.for_params(params, learning_rate=cfg.lr)
     rng = np.random.default_rng(derive_seed(cfg.seed, "train"))
-    for e in range(1, cfg.epochs + 1):
-        start = time.perf_counter()
-        epoch = history.next_epoch()
-        sums = _epoch_pass(model, dataset, cfg, rng, params, opt, "train", e)
-        record = EpochRecord(epoch=epoch, phase="train", rec=sums["rec"],
-                             ggc=sums["ggc"], lwc=sums["lwc"],
-                             total=sums["total"])
-        checkpoint = (cfg.eval_every > 0
-                      and (e == 1 or e == cfg.epochs or e % cfg.eval_every == 0))
-        if checkpoint and dataset.labels is not None:
-            fused = fuse_features(model, dataset, space=cfg.fuse_space)
-            pred = kmeans(fused, dataset.n_classes, runs=cfg.kmeans_restarts,
-                          seed=derive_seed(cfg.seed, "curve", e))
-            record.acc = accuracy(pred, dataset.labels)
-            record.nmi = nmi(pred, dataset.labels)
-            record.ari = ari(pred, dataset.labels)
-        record.seconds = time.perf_counter() - start
-        history.records.append(record)
+    with adam_helper(opt, params) as hand_off:
+        for e in range(1, cfg.epochs + 1):
+            start = time.perf_counter()
+            epoch = history.next_epoch()
+            sums = _epoch_pass(model, dataset, cfg, rng, params, opt,
+                               hand_off, "train", e)
+            record = EpochRecord(epoch=epoch, phase="train", rec=sums["rec"],
+                                 ggc=sums["ggc"], lwc=sums["lwc"],
+                                 total=sums["total"])
+            checkpoint = (cfg.eval_every > 0
+                          and (e == 1 or e == cfg.epochs
+                               or e % cfg.eval_every == 0))
+            if checkpoint and dataset.labels is not None:
+                fused = fuse_features(model, dataset, space=cfg.fuse_space)
+                pred = kmeans(fused, dataset.n_classes,
+                              runs=cfg.kmeans_restarts,
+                              seed=derive_seed(cfg.seed, "curve", e))
+                record.acc = accuracy(pred, dataset.labels)
+                record.nmi = nmi(pred, dataset.labels)
+                record.ari = ari(pred, dataset.labels)
+            record.seconds = time.perf_counter() - start
+            history.records.append(record)
     return model, history
 
 

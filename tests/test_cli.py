@@ -252,6 +252,29 @@ def test_train_artifacts_and_report_schema(tmp_path, fast_cfg):
     assert len(lines) == 1 + 1 + 2      # header + pretrain + train epochs
 
 
+def test_train_writes_epoch_timings_apart_from_reproducible_artifacts(
+        tmp_path, fast_cfg):
+    out = tmp_path / "run"
+    runs = []
+    for _ in range(2):
+        assert main(_train_args(out, fast_cfg)) == 0
+        report = json.loads((out / "report.json").read_text())
+        del report["wall_time_s"]
+        timings = json.loads((out / "timings.json").read_text())
+        runs.append(((out / "history.csv").read_bytes(), report, timings))
+    (hist_a, report_a, timings), (hist_b, report_b, _) = runs
+    assert hist_a == hist_b and report_a == report_b
+    assert report_a["artifacts"] == {"history_csv": "history.csv",
+                                     "checkpoint": "checkpoint.npz"}
+    # one entry per history.csv row, in its order
+    epochs = [line.split(",")[0]
+              for line in hist_a.decode().strip().split("\n")[1:]]
+    assert [str(t["epoch"]) for t in timings] == epochs
+    assert [t["phase"] for t in timings] == ["pretrain", "train", "train"]
+    assert all(set(t) == {"epoch", "phase", "seconds"} for t in timings)
+    assert all(t["seconds"] > 0 for t in timings)
+
+
 def test_retrain_protocol_trains_once_per_seed(tmp_path, fast_cfg):
     cfg = json.loads(Path(fast_cfg).read_text())
     cfg.update(eval_protocol="retrain", eval_seeds=2)

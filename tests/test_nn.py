@@ -1,14 +1,18 @@
 """Tensor/tape core: op gradients, MLP forward, Adam, grad_check."""
 
 import gc
+import sys
+import threading
 import tracemalloc
 import weakref
 
 import numpy as np
 import pytest
 
+from glc import nn
 from glc.errors import ShapeError
-from glc.nn import (_BLOCK, AdamState, Layer, Mlp, Tape, Tensor, adam_step,
+from glc.nn import (_BLOCK, AdamState, Layer, Mlp, Tape, Tensor, adam_helper,
+                    adam_step,
                     add, backward, concat_cols, concat_rows, div, exp,
                     gather_cols, gather_pairs, grad_check, log,
                     logsumexp_rows, matmul, mlp_forward, mul, relu, sqrt,
@@ -491,6 +495,171 @@ def test_adam_converges_on_quadratic():
         grads = backward(tape, tsum(mul(err, err)))
         adam_step(state, [p], grads)
     np.testing.assert_allclose(p.data, [3.0], atol=1e-3)
+
+
+# ---------------------------------------------------------------------------
+# Adam updates on the helper thread
+# ---------------------------------------------------------------------------
+
+def _helper_threads():
+    return [t for t in threading.enumerate() if t.name == "glc-adam"]
+
+
+def _copy_mlp(net):
+    return Mlp([Layer(Tensor(layer.weight.data.copy()),
+                      Tensor(layer.bias.data.copy()), layer.activation)
+                for layer in net.layers])
+
+
+def test_adam_helper_is_bit_identical_to_the_sequential_step():
+    rng = np.random.default_rng(10)
+    # only the two 130 x 130 weights have more than _BLOCK elements
+    net = Mlp.create([20, 130, 130, 130, 4], rng)
+    ref = _copy_mlp(net)
+    params, ref_params = net.parameters(), ref.parameters()
+    assert [p.data.size > _BLOCK for p in params] == [
+        False, False, True, False, True, False, False, False]
+    state = AdamState.for_params(params, learning_rate=1e-2)
+    ref_state = AdamState.for_params(ref_params, learning_rate=1e-2)
+    xs = [rng.normal(size=(16, 20)) for _ in range(6)]
+    # switch threads as often as possible, so a race would show
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with adam_helper(state, params) as hand_off:
+            assert hand_off is not None and len(_helper_threads()) == 1
+            for x in xs:
+                handed = []
+
+                def record(param, grad):
+                    handed.append(param)
+                    hand_off(param, grad)
+
+                tape = Tape()
+                out = mlp_forward(net, x, tape=tape)
+                grads = backward(tape, tsum(mul(out, out)), record)
+                # each parameter once, right after its earliest consumer
+                assert handed == params[::-1]
+                adam_step(state, params, grads)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not _helper_threads()
+    for x in xs:
+        tape = Tape()
+        out = mlp_forward(ref, x, tape=tape)
+        adam_step(ref_state, ref_params, backward(tape, tsum(mul(out, out))))
+    _assert_same_adam(state, params, ref_state, ref_params)
+
+
+def test_backward_hands_off_unused_parameters_with_zero_gradients():
+    used, unused = Tensor(np.ones(3)), Tensor(np.ones(2))
+    tape = Tape()
+    tape.watch(used)
+    tape.watch(unused)
+    handed = {}
+    grads = backward(tape, tsum(mul(used, used)),
+                     lambda p, g: handed.setdefault(p, g))
+    assert list(handed) == [used, unused]
+    assert all(handed[p] is grads[p] for p in handed)
+    np.testing.assert_array_equal(handed[unused], 0.0)
+
+
+def test_backward_hands_off_a_reused_parameter_after_its_first_use():
+    rng = np.random.default_rng(13)
+    w = Tensor(rng.normal(size=(3, 3)))
+    x = rng.normal(size=(2, 3))
+
+    def loss(tape):
+        tape.watch(w)
+        h = relu(matmul(matmul(x, w), w))      # w is consumed twice
+        return tsum(mul(h, h))
+
+    tape = Tape()
+    plain = backward(tape, loss(tape))[w]
+    handed = {}
+    tape = Tape()
+    grads = backward(tape, loss(tape),
+                     lambda p, g: handed.setdefault(p, g.copy()))
+    # the copy taken at the hand-off already holds both uses' terms
+    assert np.array_equal(handed[w], plain)
+    assert np.array_equal(grads[w], plain)
+
+
+def test_adam_helper_checks_each_gradient_at_its_hand_off():
+    p = Tensor(np.zeros((130, 130)))
+    state = AdamState.for_params([p])
+    with adam_helper(state, [p]) as hand_off:
+        with pytest.raises(ShapeError):
+            hand_off(p, np.ones((130, 131)))
+        np.testing.assert_array_equal(p.data, 0.0)
+        hand_off(p, np.ones((130, 130)))
+        with pytest.raises(ValueError):
+            hand_off(p, np.ones((130, 130)))
+        adam_step(state, [p], [np.ones((130, 130))])
+    assert state.step == 1
+    np.testing.assert_allclose(p.data, -1e-3)
+
+
+def test_adam_step_keeps_its_contract_inside_the_helper():
+    # nothing handed off: the whole step runs inline, checked up front
+    a = Tensor(np.zeros((130, 130)))
+    b = Tensor(np.zeros(3))
+    state = AdamState.for_params([a, b])
+    with adam_helper(state, [a, b]):
+        with pytest.raises(ShapeError):
+            adam_step(state, [a, b], [np.ones((130, 130)), np.ones(4)])
+    assert state.step == 0
+    for arr in [a.data, b.data, *state.first_moment, *state.second_moment]:
+        np.testing.assert_array_equal(arr, 0.0)
+
+
+def test_adam_helper_error_surfaces_from_that_steps_adam_step(monkeypatch):
+    rng = np.random.default_rng(11)
+    big, small = Tensor(rng.normal(size=(130, 130))), Tensor(np.ones(3))
+    params = [big, small]
+    state = AdamState.for_params(params)
+    update = nn._adam_update
+
+    def fail_off_the_main_thread(*args):
+        if threading.current_thread() is not threading.main_thread():
+            raise RuntimeError("helper failed")
+        update(*args)
+
+    def step(hand_off):
+        tape = Tape()
+        tape.watch(big)
+        tape.watch(small)
+        loss = add(tsum(mul(big, big)), tsum(small))
+        return adam_step(state, params, backward(tape, loss, hand_off))
+
+    with adam_helper(state, params) as hand_off:
+        monkeypatch.setattr(nn, "_adam_update", fail_off_the_main_thread)
+        with pytest.raises(RuntimeError, match="helper failed"):
+            step(hand_off)
+        monkeypatch.undo()
+        before = big.data.copy()
+        step(hand_off)
+        assert not np.array_equal(big.data, before)
+    assert not _helper_threads()
+
+
+def test_adam_helper_starts_no_thread_for_small_parameters():
+    net = Mlp.create([20, 64, 64, 4], np.random.default_rng(12))
+    state = AdamState.for_params(net.parameters())
+    threads = threading.enumerate()
+    with adam_helper(state, net.parameters()) as hand_off:
+        assert hand_off is None
+        assert threading.enumerate() == threads
+
+
+def test_adam_helper_thread_is_joined_when_the_block_raises():
+    p = Tensor(np.zeros((130, 130)))
+    threads = threading.enumerate()
+    with pytest.raises(KeyError):
+        with adam_helper(AdamState.for_params([p]), [p]) as hand_off:
+            hand_off(p, np.ones((130, 130)))
+            raise KeyError("stop")
+    assert threading.enumerate() == threads
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,12 @@
 """Training schedule, fusion, k-means and evaluation."""
 
+import contextlib
+import threading
+
 import numpy as np
 import pytest
 
+from glc import nn, pipeline
 from glc.config import PROFILES, Config
 from glc.data import MultiViewDataset, generate_missing_mask, make_synthetic
 from glc.errors import ConfigError, ShapeError, TrainingAborted
@@ -212,6 +216,66 @@ def test_train_aborts_on_divergence():
         with pytest.raises(TrainingAborted) as err:
             train(model, ds, cfg)
     assert err.value.epoch >= 1
+
+
+def _large_config(**kw):
+    # the 130 x 130 encoder and head weights exceed glc.nn._BLOCK, so their
+    # Adam updates run on the helper thread
+    return _desk_config(hidden=(130,), latent_dim=130, **kw)
+
+
+def _fit(ds, cfg):
+    model = build_model(ds, cfg)
+    history = TrainHistory()
+    pretrain(model, ds, cfg, history=history)
+    model, history = train(model, ds, cfg, history=history)
+    return (_params_snapshot(model),
+            [(r.rec, r.ggc, r.lwc, r.total) for r in history.records])
+
+
+def test_adam_helper_training_is_bit_identical_to_the_sequential_step(
+        monkeypatch):
+    ds = _tiny_dataset(seed=11)
+    cfg = _large_config(pretrain_epochs=2, epochs=2)
+    started = []
+    helper = pipeline.adam_helper
+
+    @contextlib.contextmanager
+    def spy(opt, params):
+        with helper(opt, params) as hand_off:
+            started.append(hand_off is not None)
+            yield hand_off
+
+    threads = threading.enumerate()
+    monkeypatch.setattr(pipeline, "adam_helper", spy)
+    overlapped = _fit(ds, cfg)
+    assert started == [True, True]          # one helper per pretrain/train
+    assert threading.enumerate() == threads
+    monkeypatch.setattr(pipeline, "adam_helper",
+                        lambda opt, params: contextlib.nullcontext())
+    sequential = _fit(ds, cfg)
+    _assert_params_equal(overlapped[0], sequential[0])
+    assert overlapped[1] == sequential[1]
+
+
+def test_train_joins_the_adam_helper_when_it_aborts():
+    ds = _tiny_dataset(seed=9)
+    cfg = _large_config(lr=1e100, epochs=10, alpha=0.0, beta=0.0)
+    threads = threading.enumerate()
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(TrainingAborted):
+            train(build_model(ds, cfg), ds, cfg)
+    assert threading.enumerate() == threads
+
+
+def test_desk_training_starts_no_thread(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a desk model started the Adam helper")
+
+    monkeypatch.setattr(nn, "_AdamHelper", refuse)
+    ds = _tiny_dataset(seed=12)
+    cfg = _desk_config(pretrain_epochs=1, epochs=1)
+    _fit(ds, cfg)
 
 
 def test_history_csv_layout(tmp_path):
