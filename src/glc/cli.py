@@ -16,9 +16,10 @@ existing ones and any cell can be reproduced in isolation.
 
 ``GLC_THREADS`` caps how many sweep cells run in parallel processes (a
 positive integer; default 1, serial); each cell's training may keep one
-more thread busy with Adam updates (:func:`glc.nn.adam_helper`).  Exit
-codes: 0 success, 1 configuration error, 2 I/O error, 3 numerical abort
-during training.
+more thread busy with Adam updates (the one-worker executor of
+:func:`glc.nn.adam_helper`).  Exit codes, the same for a whole run and
+for each sweep cell (:func:`exit_code`): 0 success, 1 configuration
+error, 2 I/O or data-format error, 3 numerical abort during training.
 """
 
 import argparse
@@ -311,19 +312,30 @@ def cmd_train(cfg):
     return 0
 
 
+def exit_code(err):
+    """The documented exit code for ``err``, a ``GlcError`` or ``OSError``.
+
+    2 for I/O and data-format errors, 3 for a numerical abort, and 1 for a
+    configuration or any other library error.
+    """
+    if isinstance(err, (OSError, DataFormatError)):
+        return 2
+    if isinstance(err, NumericError):
+        return 3
+    return 1
+
+
 def _cell_worker(payload):
     """Run one cell; failures are recorded, not raised (other cells go on)."""
     cfg, setting, rate, ablation, out_dir = payload
     try:
         return run_cell(cfg, setting, rate, ablation, out_dir=out_dir)
     except (GlcError, OSError) as err:
-        code = 1 if isinstance(err, ConfigError) else (
-            2 if isinstance(err, (OSError, DataFormatError)) else 3)
         logger.error("cell (%s, %s, %s) failed: %s", setting, rate, ablation, err)
         return {"schema_version": SCHEMA_VERSION,
                 "config": resolved_cell_config(cfg, setting, rate, ablation),
                 "error": {"type": type(err).__name__, "message": str(err),
-                          "exit_code": code}}
+                          "exit_code": exit_code(err)}}
 
 
 def _cell_workers():
@@ -452,18 +464,12 @@ def main(argv=None):
         command = {"prepare": cmd_prepare, "train": cmd_train,
                    "sweep": cmd_sweep, "ablate": cmd_ablate}[args.command]
         return command(cfg)
-    except ConfigError as err:
-        print(f"config error: {err}", file=sys.stderr)
-        return 1
-    except (OSError, DataFormatError) as err:
-        print(f"i/o error: {err}", file=sys.stderr)
-        return 2
-    except NumericError as err:
-        print(f"numerical abort: {err}", file=sys.stderr)
-        return 3
-    except GlcError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 1
+    except (GlcError, OSError) as err:
+        code = exit_code(err)
+        label = {2: "i/o error", 3: "numerical abort"}.get(
+            code, "config error" if isinstance(err, ConfigError) else "error")
+        print(f"{label}: {err}", file=sys.stderr)
+        return code
 
 
 def entry():

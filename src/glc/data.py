@@ -236,6 +236,9 @@ def load_dataset(path, standardize=None):
     if manifest.get("noise_flags"):
         noise_flags = _read_matrix(root / manifest["noise_flags"],
                                    dtype=np.int64).astype(bool)
+        if noise_flags.shape != (n_samples, n_views):
+            raise DataFormatError(
+                "noise_flags shape does not match the manifest")
 
     n_classes = manifest.get("n_classes", manifest.get("K"))
     dataset = MultiViewDataset(views, mask, labels, noise_flags,

@@ -283,12 +283,11 @@ def high_order_diag(w_uv, w_vv):
 # pairwise / locally weighted contrastive losses
 # ---------------------------------------------------------------------------
 
-def _cross_view_contrast(h_u, h_v, temperature, log_weights=None):
-    """Shared core of the cross-view losses.
+def pairwise_contrastive_loss(h_u, h_v, temperature):
+    """Unweighted cross-view contrastive loss over same-index pairs.
 
     Anchors are view u's rows.  The positive of anchor i is view v's row i;
     the denominator sums over all other rows of both views (2(n-1) terms).
-    ``log_weights`` adds a constant -sum(log w_i) (the weighting term).
     """
     if temperature <= 0.0:
         raise ConfigError("temperature must be positive")
@@ -313,15 +312,7 @@ def _cross_view_contrast(h_u, h_v, temperature, log_weights=None):
     den = nn.logsumexp_rows(nn.mul(sims, inv_t), keep)    # (n,)
 
     pos = nn.gather_pairs(s_uv, idx, idx)
-    loss = nn.sub(nn.tsum(den), nn.tsum(nn.mul(pos, inv_t)))
-    if log_weights is not None:
-        loss = nn.sub(loss, Tensor(float(np.sum(log_weights))))
-    return loss
-
-
-def pairwise_contrastive_loss(h_u, h_v, temperature):
-    """Unweighted cross-view contrastive loss over same-index pairs."""
-    return _cross_view_contrast(h_u, h_v, temperature)
+    return nn.sub(nn.tsum(den), nn.tsum(nn.mul(pos, inv_t)))
 
 
 def lwc_loss(h_u, h_v, weights, temperature):
@@ -342,7 +333,9 @@ def lwc_loss(h_u, h_v, weights, temperature):
     if not np.all(diag > 0.0) or not np.isfinite(diag).all():
         raise NumericError("pair weights must be finite and positive "
                            "(kernel underflow or bad kernel width)")
-    return _cross_view_contrast(h_u, h_v, temperature, log_weights=np.log(diag))
+    loss = pairwise_contrastive_loss(h_u, h_v, temperature)
+    # the weighting term -sum(log w_i): a constant, so no gradient
+    return nn.sub(loss, Tensor(float(np.sum(np.log(diag)))))
 
 
 def lwc_total(h_list, co_available, temperature):

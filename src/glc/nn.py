@@ -24,17 +24,17 @@ the BLAS library's own variables (``OPENBLAS_NUM_THREADS``,
 sets it.  ``GLC_THREADS`` does not touch it either: it only sets how many
 sweep cells the command line runs in parallel processes.
 
-Training uses one helper thread of its own (:func:`adam_helper`): each
-parameter of more than ``_BLOCK`` elements gets its Adam update there as
-soon as ``backward`` has its final gradient, while the calling thread
-finishes the reverse sweep.  Adam is elementwise and independent per
-parameter, so results stay bit-identical to the sequential update.  With
-``GLC_THREADS=N`` up to 2N threads can be busy, plus BLAS's own.
+Training uses one helper thread of its own (:func:`adam_helper`, a
+one-worker ``concurrent.futures`` executor): each parameter of more than
+``_BLOCK`` elements gets its Adam update there as soon as ``backward`` has
+its final gradient, while the calling thread finishes the reverse sweep.
+Adam is elementwise and independent per parameter, so results stay
+bit-identical to the sequential update.  With ``GLC_THREADS=N`` up to 2N
+threads can be busy, plus BLAS's own.
 """
 
 import math
-import queue
-import threading
+from concurrent.futures import ThreadPoolExecutor, wait
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 
@@ -618,8 +618,9 @@ class AdamState:
 
     ``_blocks`` holds, per parameter, the blocks :func:`adam_step` walks and
     their views of one block-sized scratch buffer; the first step builds it
-    and every later step reuses it.  ``_helper`` is the helper thread
-    :func:`adam_helper` attaches while it is open.
+    and every later step reuses it.  ``_handed`` maps the index of each
+    parameter handed off since the last step (inside :func:`adam_helper`)
+    to ``(param, future)`` of its update.
     """
 
     learning_rate: float = 1e-3
@@ -630,7 +631,8 @@ class AdamState:
     first_moment: list = field(default_factory=list)
     second_moment: list = field(default_factory=list)
     _blocks: list = field(default=None, init=False, repr=False, compare=False)
-    _helper: object = field(default=None, init=False, repr=False, compare=False)
+    _handed: dict = field(default_factory=dict, init=False, repr=False,
+                          compare=False)
 
     @classmethod
     def for_params(cls, params, learning_rate=1e-3, beta1=0.9, beta2=0.999,
@@ -716,21 +718,21 @@ def adam_step(state, params, grads):
     half speed.
 
     Inside :func:`adam_helper`, the parameters ``backward`` handed off
-    since the last step are already being updated on the helper thread,
-    each checked at its hand-off before it was touched.  This call checks
-    and updates the rest inline, then waits for the helper and re-raises
-    the first exception it met.  A bad gradient here still raises
-    ``ShapeError`` before any inline update, but the handed-off parameters
-    have had their update.
+    since the last step are already being updated on the executor's
+    thread, each checked at its hand-off before it was touched.  This call
+    checks and updates the rest inline, then waits for every handed-off
+    update and re-raises the first exception among them, in hand-off
+    order, so no update is still running when it raises.  A bad gradient
+    here still raises ``ShapeError`` before any inline update, but the
+    handed-off parameters have had their update.
     """
-    helper = state._helper
-    handed = helper.take_handed() if helper is not None else ()
+    handed, state._handed = state._handed, {}
     try:
         moments = state.first_moment, state.second_moment
         if any(len(ms) != len(params) for ms in moments):
             raise ShapeError(
                 "optimizer state does not match the parameter list")
-        if any(params[i] is not helper.params[i] for i in handed):
+        if any(params[i] is not p for i, (p, _) in handed.items()):
             raise ValueError("adam_step got other parameters than the ones "
                              "backward handed off")
         if isinstance(grads, dict):
@@ -753,76 +755,11 @@ def adam_step(state, params, grads):
             if k not in handed:
                 _update_param(state, bias1, bias2, p.data, m, v, g, blocks)
     finally:
-        if handed:
-            helper.wait()
+        futures = [future for _, future in handed.values()]
+        wait(futures)
+        for future in futures:
+            future.result()
     return params, state
-
-
-class _AdamHelper:
-    """One thread running the Adam updates of the parameters handed to it."""
-
-    def __init__(self, state, params, indices):
-        self.state = state
-        self.params = params
-        self._index = {id(params[i]): i for i in indices}
-        # its own scratch: the inline updates run at the same time
-        plan = _block_plan([params[i].data.shape for i in indices])
-        self._blocks = dict(zip(indices, plan))
-        self._handed = set()
-        self._jobs = queue.Queue()
-        self._error = None
-        self._thread = threading.Thread(target=self._run, name="glc-adam",
-                                        daemon=True)
-        self._thread.start()
-
-    def hand_off(self, param, grad):
-        """Queue the update of ``param`` if it is one of the helper's."""
-        i = self._index.get(id(param))
-        if i is None:
-            return
-        state = self.state
-        g = np.asarray(grad, dtype=np.float64)
-        _check_shapes(param, state.first_moment[i], state.second_moment[i], g)
-        if i in self._handed:
-            raise ValueError("a parameter was handed off twice in one step")
-        self._handed.add(i)
-        self._jobs.put((i, g, *_bias_corrections(state, state.step + 1)))
-
-    def take_handed(self):
-        """Indices handed off since the last call."""
-        handed, self._handed = self._handed, set()
-        return handed
-
-    def wait(self):
-        """Block until every queued update is done; re-raise its error."""
-        self._jobs.join()
-        error, self._error = self._error, None
-        if error is not None:
-            raise error
-
-    def close(self):
-        self._jobs.put(None)
-        self._thread.join()
-
-    def _run(self):
-        state = self.state
-        while True:
-            job = self._jobs.get()
-            try:
-                if job is None:
-                    return
-                if self._error is None:
-                    i, g, bias1, bias2 = job
-                    _update_param(state, bias1, bias2, self.params[i].data,
-                                  state.first_moment[i],
-                                  state.second_moment[i], g, self._blocks[i])
-            except BaseException as err:
-                # re-raised on the calling thread by ``wait``
-                self._error = err
-            finally:
-                # drop the gradient now, not when the next job arrives
-                job = g = None
-                self._jobs.task_done()
 
 
 @contextmanager
@@ -831,28 +768,48 @@ def adam_helper(state, params):
 
     Yields the ``hand_off`` to pass as ``backward(tape, loss, hand_off)``
     before each ``adam_step(state, params, grads)``.  Each parameter of
-    more than ``_BLOCK`` elements is then updated on one helper thread as
-    soon as its gradient is final, while the calling thread finishes the
-    reverse sweep.  numpy's elementwise loops and BLAS release the GIL,
-    and Adam is elementwise and independent per parameter, so the results
-    are bit-identical to the sequential step.  The helper calls nothing but
-    this module's update loop.
+    more than ``_BLOCK`` elements is then updated on a one-worker
+    executor's thread (``glc-adam``) as soon as its gradient is final,
+    while the calling thread finishes the reverse sweep.  numpy's
+    elementwise loops and BLAS release the GIL, and Adam is elementwise and
+    independent per parameter, so the results are bit-identical to the
+    sequential step.  The worker calls nothing but this module's update
+    loop, with block scratch of its own.
 
-    Yields ``None`` and starts no thread when no parameter is that large.
-    The thread is joined when the block exits, whether it returns or
-    raises.
+    Yields ``None`` and builds nothing when no parameter is that large.
+    The executor is shut down, after its last update, when the block
+    exits, whether it returns or raises.
     """
     large = [i for i, p in enumerate(params) if p.data.size > _BLOCK]
     if not large:
         yield None
         return
-    helper = _AdamHelper(state, params, large)
-    state._helper = helper
+    index = {id(params[i]): i for i in large}
+    # its own scratch: the inline updates run at the same time
+    blocks = dict(zip(large, _block_plan([params[i].data.shape
+                                          for i in large])))
+
+    def hand_off(param, grad):
+        """Submit the update of ``param`` if it is one of the large ones."""
+        i = index.get(id(param))
+        if i is None:
+            return
+        m, v = state.first_moment[i], state.second_moment[i]
+        g = np.asarray(grad, dtype=np.float64)
+        _check_shapes(param, m, v, g)
+        if i in state._handed:
+            raise ValueError("a parameter was handed off twice in one step")
+        state._handed[i] = (param, pool.submit(
+            _update_param, state, *_bias_corrections(state, state.step + 1),
+            param.data, m, v, g, blocks[i]))
+
     try:
-        yield helper.hand_off
+        with ThreadPoolExecutor(max_workers=1,
+                                thread_name_prefix="glc-adam") as pool:
+            yield hand_off
     finally:
-        state._helper = None
-        helper.close()
+        # a step the block left unfinished is not carried over
+        state._handed = {}
 
 
 # ---------------------------------------------------------------------------

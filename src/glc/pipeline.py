@@ -19,12 +19,15 @@ the joint-phase batch order derive_seed(s, "train"), mid-training metric
 checkpoints derive_seed(s, "curve", epoch) and evaluation seeds
 derive_seed(s, "eval", i).  Two runs with equal configs are bit-identical.
 
-Each ``pretrain``/``train`` call opens one :func:`glc.nn.adam_helper`: when
-a parameter has more than ``glc.nn._BLOCK`` elements (the ``paper``
-profile's weights, no ``desk`` parameter) its Adam update runs on a helper
-thread as soon as ``backward`` hands its gradient off, and ``adam_step``
-waits for it before the next forward pass.  The thread is joined before the
-call returns or raises, and the result is bit-identical to updating every
+``pretrain`` and ``train`` run one phase driver, tagged with the phase's
+name.  Each step is one function call, so its tape, features, graph and
+gradients are freed before the next batch's forward pass.  Each phase
+opens one :func:`glc.nn.adam_helper`: when a parameter has more than
+``glc.nn._BLOCK`` elements (the ``paper`` profile's weights, no ``desk``
+parameter) its Adam update runs on the helper's one-worker executor as soon
+as ``backward`` hands its gradient off, and ``adam_step`` waits for it
+before the next forward pass.  The executor is shut down before the phase
+returns or raises, and the result is bit-identical to updating every
 parameter after the backward pass.
 """
 
@@ -122,79 +125,101 @@ def _abort_diagnostics(feats, batch, rec, ggc, lwc):
     return "total", None
 
 
-def _epoch_pass(model, dataset, config, rng, params, opt, hand_off, phase,
-                epoch_index):
-    """One epoch of updates; returns the summed loss components.
+def _step(model, batch, config, params, opt, hand_off, joint, epoch, bi):
+    """One update on ``batch``; returns its loss components as floats.
 
-    ``hand_off`` comes from :func:`glc.nn.adam_helper` (``None`` when no
-    parameter is large enough to hand off).
+    The step's tape, features, graph, pairs and gradients are locals, so
+    they are freed when it returns, before the next batch's forward pass.
+    Also returns whether some view pair had 2+ common samples.
     """
-    contrastive = phase == "train"
-    sums = {"rec": 0.0, "ggc": 0.0, "lwc": 0.0, "total": 0.0}
-    skipped_pairs_everywhere = True
-    for bi, batch in enumerate(iter_epoch(dataset, config.batch, rng)):
-        tape = Tape()
-        feats = forward_views(model, batch, tape)
-        rec = reconstruction_loss(feats, batch)
-        ggc = lwc = None
-        if contrastive and config.alpha > 0:
-            hs = [f.contrast for f in feats]
-            stacked = sum(h.data.shape[0] for h in hs)
-            if stacked >= 3:
-                graph = build_global_graph(hs, positions=batch.view_positions)
-                pairs = select_pairs(graph, config.pos, config.neg)
-                ggc = ggc_loss(graph, pairs, config.tau,
-                               config.include_positive_in_denominator)
-            else:
-                logger.warning("epoch %d batch %d: %d stacked features, "
-                               "global term skipped", epoch_index, bi, stacked)
-        if contrastive and config.beta > 0:
-            hs = [f.contrast for f in feats]
-            co = {(u, v): batch.co_available(u, v)
-                  for u in range(len(hs)) for v in range(u + 1, len(hs))}
-            if any(len(iu) >= 2 for iu in (p[0] for p in co.values())):
-                skipped_pairs_everywhere = False
-            lwc = lwc_total(hs, co, config.tau)
-        loss = total_loss(rec, ggc if ggc is not None else 0.0,
-                          lwc if lwc is not None else 0.0,
-                          config.alpha if contrastive else 0.0,
-                          config.beta if contrastive else 0.0)
-        value = float(loss.data)
-        if not math.isfinite(value):
-            comp, view = _abort_diagnostics(feats, batch, rec, ggc, lwc)
-            raise TrainingAborted(
-                f"non-finite {comp} loss at epoch {epoch_index}, batch {bi}"
-                + (f", view {view}" if view is not None else ""),
-                epoch=epoch_index, batch=bi, view=view)
-        grads = backward(tape, loss, hand_off)
-        adam_step(opt, params, grads)
-        sums["rec"] += float(rec.data)
-        sums["ggc"] += float(ggc.data) if ggc is not None else 0.0
-        sums["lwc"] += float(lwc.data) if lwc is not None else 0.0
-        sums["total"] += value
-    if contrastive and config.beta > 0 and skipped_pairs_everywhere:
-        logger.warning("epoch %d: no view pair had 2+ common samples; the "
-                       "cross-view term was inert", epoch_index)
-    return sums
+    tape = Tape()
+    feats = forward_views(model, batch, tape)
+    rec = reconstruction_loss(feats, batch)
+    ggc = lwc = None
+    paired = False
+    if joint and config.alpha > 0:
+        hs = [f.contrast for f in feats]
+        stacked = sum(h.data.shape[0] for h in hs)
+        if stacked >= 3:
+            graph = build_global_graph(hs, positions=batch.view_positions)
+            pairs = select_pairs(graph, config.pos, config.neg)
+            ggc = ggc_loss(graph, pairs, config.tau,
+                           config.include_positive_in_denominator)
+        else:
+            logger.warning("epoch %d batch %d: %d stacked features, "
+                           "global term skipped", epoch, bi, stacked)
+    if joint and config.beta > 0:
+        hs = [f.contrast for f in feats]
+        co = {(u, v): batch.co_available(u, v)
+              for u in range(len(hs)) for v in range(u + 1, len(hs))}
+        paired = any(len(rows_u) >= 2 for rows_u, _ in co.values())
+        lwc = lwc_total(hs, co, config.tau)
+    loss = total_loss(rec, ggc if ggc is not None else 0.0,
+                      lwc if lwc is not None else 0.0,
+                      config.alpha if joint else 0.0,
+                      config.beta if joint else 0.0)
+    value = float(loss.data)
+    if not math.isfinite(value):
+        comp, view = _abort_diagnostics(feats, batch, rec, ggc, lwc)
+        raise TrainingAborted(
+            f"non-finite {comp} loss at epoch {epoch}, batch {bi}"
+            + (f", view {view}" if view is not None else ""),
+            epoch=epoch, batch=bi, view=view)
+    grads = backward(tape, loss, hand_off)
+    adam_step(opt, params, grads)
+    return {"rec": float(rec.data),
+            "ggc": float(ggc.data) if ggc is not None else 0.0,
+            "lwc": float(lwc.data) if lwc is not None else 0.0,
+            "total": value}, paired
+
+
+def _run_phase(model, dataset, config, history, phase):
+    """Run the epochs of one phase, ``"pretrain"`` or ``"train"``.
+
+    ``phase`` is both the batch-order rng's tag and the records' phase;
+    only ``"train"`` adds the contrastive terms and metric checkpoints.
+    One :func:`glc.nn.adam_helper` spans the phase, so its thread is
+    shut down before this returns or raises.
+    """
+    cfg = config.resolved()
+    joint = phase == "train"
+    params = model_parameters(model)
+    opt = AdamState.for_params(params, learning_rate=cfg.lr)
+    rng = np.random.default_rng(derive_seed(cfg.seed, phase))
+    with adam_helper(opt, params) as hand_off:
+        for e in range(1, (cfg.epochs if joint else cfg.pretrain_epochs) + 1):
+            start = time.perf_counter()
+            epoch = history.next_epoch() if history is not None else 0
+            sums = dict.fromkeys(("rec", "ggc", "lwc", "total"), 0.0)
+            paired = False
+            for bi, batch in enumerate(iter_epoch(dataset, cfg.batch, rng)):
+                losses, batch_paired = _step(model, batch, cfg, params, opt,
+                                             hand_off, joint, e, bi)
+                for key, value in losses.items():
+                    sums[key] += value
+                paired = paired or batch_paired
+            if joint and cfg.beta > 0 and not paired:
+                logger.warning("epoch %d: no view pair had 2+ common samples; "
+                               "the cross-view term was inert", e)
+            record = EpochRecord(epoch=epoch, phase=phase, **sums)
+            checkpoint = joint and cfg.eval_every > 0 and (
+                e == 1 or e == cfg.epochs or e % cfg.eval_every == 0)
+            if checkpoint and dataset.labels is not None:
+                fused = fuse_features(model, dataset, space=cfg.fuse_space)
+                pred = kmeans(fused, dataset.n_classes,
+                              runs=cfg.kmeans_restarts,
+                              seed=derive_seed(cfg.seed, "curve", e))
+                record.acc = accuracy(pred, dataset.labels)
+                record.nmi = nmi(pred, dataset.labels)
+                record.ari = ari(pred, dataset.labels)
+            record.seconds = time.perf_counter() - start
+            if history is not None:
+                history.records.append(record)
 
 
 def pretrain(model, dataset, config, history=None):
     """Reconstruction-only warm-up; appends per-epoch records to history."""
-    cfg = config.resolved()
-    params = model_parameters(model)
-    opt = AdamState.for_params(params, learning_rate=cfg.lr)
-    rng = np.random.default_rng(derive_seed(cfg.seed, "pretrain"))
-    with adam_helper(opt, params) as hand_off:
-        for _ in range(cfg.pretrain_epochs):
-            start = time.perf_counter()
-            epoch = history.next_epoch() if history is not None else 0
-            sums = _epoch_pass(model, dataset, cfg, rng, params, opt,
-                               hand_off, "pretrain", epoch)
-            if history is not None:
-                history.records.append(EpochRecord(
-                    epoch=epoch, phase="pretrain", rec=sums["rec"], ggc=0.0,
-                    lwc=0.0, total=sums["total"],
-                    seconds=time.perf_counter() - start))
+    _run_phase(model, dataset, config, history, "pretrain")
     return model
 
 
@@ -205,33 +230,8 @@ def train(model, dataset, config, history=None):
     dataset is labeled), clustering metrics are recorded at the first,
     every k-th, and the final joint epoch.
     """
-    cfg = config.resolved()
     history = history if history is not None else TrainHistory()
-    params = model_parameters(model)
-    opt = AdamState.for_params(params, learning_rate=cfg.lr)
-    rng = np.random.default_rng(derive_seed(cfg.seed, "train"))
-    with adam_helper(opt, params) as hand_off:
-        for e in range(1, cfg.epochs + 1):
-            start = time.perf_counter()
-            epoch = history.next_epoch()
-            sums = _epoch_pass(model, dataset, cfg, rng, params, opt,
-                               hand_off, "train", e)
-            record = EpochRecord(epoch=epoch, phase="train", rec=sums["rec"],
-                                 ggc=sums["ggc"], lwc=sums["lwc"],
-                                 total=sums["total"])
-            checkpoint = (cfg.eval_every > 0
-                          and (e == 1 or e == cfg.epochs
-                               or e % cfg.eval_every == 0))
-            if checkpoint and dataset.labels is not None:
-                fused = fuse_features(model, dataset, space=cfg.fuse_space)
-                pred = kmeans(fused, dataset.n_classes,
-                              runs=cfg.kmeans_restarts,
-                              seed=derive_seed(cfg.seed, "curve", e))
-                record.acc = accuracy(pred, dataset.labels)
-                record.nmi = nmi(pred, dataset.labels)
-                record.ari = ari(pred, dataset.labels)
-            record.seconds = time.perf_counter() - start
-            history.records.append(record)
+    _run_phase(model, dataset, config, history, "train")
     return model, history
 
 

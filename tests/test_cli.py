@@ -10,10 +10,12 @@ import numpy as np
 import pytest
 
 import glc
-from glc.cli import (DEFAULTS, config_hash, load_config, main,
+from glc import cli
+from glc.cli import (DEFAULTS, config_hash, exit_code, load_config, main,
                      parse_synthetic_spec, resolved_cell_config, run_cell)
 from glc.data import load_dataset, make_synthetic, save_dataset
-from glc.errors import ConfigError
+from glc.errors import (ConfigError, DataFormatError, NumericError,
+                        ShapeError, TrainingAborted)
 
 SPEC = "synthetic:n=24,v=2,k=3,dims=4|4,sep=6.0"
 
@@ -193,6 +195,46 @@ def test_malformed_manifest_is_an_io_error(tmp_path, fast_cfg):
                  "--out", str(tmp_path / "clean")]) == 2
     assert main(["train", "--dataset", str(src), "--profile", "desk",
                  "--config", fast_cfg, "--out", str(tmp_path / "run")]) == 2
+
+
+def test_bad_noise_flags_exit_2_from_train_and_a_sweep_cell(tmp_path,
+                                                             fast_cfg):
+    prep = tmp_path / "prep"
+    assert main(["prepare", "--dataset", SPEC, "--setting", "noise",
+                 "--rate", "0.3", "--seed", "5", "--out", str(prep)]) == 0
+    flags = np.loadtxt(prep / "noise_flags.csv", delimiter=",", dtype=int)
+    np.savetxt(prep / "noise_flags.csv", flags[:, :1], fmt="%d",
+               delimiter=",")
+    with pytest.raises(DataFormatError, match="noise_flags"):
+        load_dataset(prep)
+    common = ["--dataset", str(prep), "--profile", "desk",
+              "--config", fast_cfg]
+    assert main(["train", *common, "--out", str(tmp_path / "run")]) == 2
+    out = tmp_path / "sweep"
+    assert main(["sweep", *common, "--rates", "0.3", "--out", str(out)]) == 2
+    cell, = json.loads((out / "sweep.json").read_text())["cells"]
+    assert cell["error"]["type"] == "DataFormatError"
+    assert cell["error"]["exit_code"] == 2
+
+
+@pytest.mark.parametrize("error, code", [
+    (ConfigError("bad key"), 1), (ShapeError("bad shape"), 1),
+    (DataFormatError("bad file"), 2), (OSError("no disk"), 2),
+    (NumericError("degenerate"), 3), (TrainingAborted("diverged"), 3)])
+def test_train_and_a_sweep_cell_share_one_exit_code(tmp_path, fast_cfg,
+                                                     monkeypatch, error, code):
+    def fail(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(cli, "run_cell", fail)
+    assert exit_code(error) == code
+    assert main(_train_args(tmp_path / "run", fast_cfg)) == code
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--dataset", SPEC, "--profile", "desk",
+                 "--config", fast_cfg, "--rates", "0.3",
+                 "--out", str(out)]) == code
+    cell, = json.loads((out / "sweep.json").read_text())["cells"]
+    assert cell["error"]["exit_code"] == code
 
 
 def test_prepare_incomplete_counts(tmp_path):

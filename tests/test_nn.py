@@ -3,6 +3,7 @@
 import gc
 import sys
 import threading
+import time
 import tracemalloc
 import weakref
 
@@ -502,7 +503,8 @@ def test_adam_converges_on_quadratic():
 # ---------------------------------------------------------------------------
 
 def _helper_threads():
-    return [t for t in threading.enumerate() if t.name == "glc-adam"]
+    return [t for t in threading.enumerate()
+            if t.name.startswith("glc-adam")]
 
 
 def _copy_mlp(net):
@@ -527,7 +529,7 @@ def test_adam_helper_is_bit_identical_to_the_sequential_step():
     sys.setswitchinterval(1e-6)
     try:
         with adam_helper(state, params) as hand_off:
-            assert hand_off is not None and len(_helper_threads()) == 1
+            assert hand_off is not None
             for x in xs:
                 handed = []
 
@@ -540,6 +542,7 @@ def test_adam_helper_is_bit_identical_to_the_sequential_step():
                 grads = backward(tape, tsum(mul(out, out)), record)
                 # each parameter once, right after its earliest consumer
                 assert handed == params[::-1]
+                assert len(_helper_threads()) == 1
                 adam_step(state, params, grads)
     finally:
         sys.setswitchinterval(interval)
@@ -641,6 +644,35 @@ def test_adam_helper_error_surfaces_from_that_steps_adam_step(monkeypatch):
         step(hand_off)
         assert not np.array_equal(big.data, before)
     assert not _helper_threads()
+
+
+def test_adam_step_raises_only_after_every_handed_off_update_is_done(
+        monkeypatch):
+    rng = np.random.default_rng(14)
+    first, second = (Tensor(rng.normal(size=(130, 130))) for _ in range(2))
+    params = [first, second]
+    state = AdamState.for_params(params)
+    update = nn._update_param
+    done = []
+
+    def first_fails_second_is_slow(state, bias1, bias2, p, *args):
+        if p is first.data:
+            raise RuntimeError("first update failed")
+        time.sleep(0.2)
+        update(state, bias1, bias2, p, *args)
+        done.append(p)
+
+    monkeypatch.setattr(nn, "_update_param", first_fails_second_is_slow)
+    before = second.data.copy()
+    with adam_helper(state, params) as hand_off:
+        grads = [np.ones((130, 130)), np.ones((130, 130))]
+        hand_off(first, grads[0])
+        hand_off(second, grads[1])
+        with pytest.raises(RuntimeError, match="first update failed"):
+            adam_step(state, params, grads)
+        # the second update had finished when the first one's error surfaced
+        assert len(done) == 1 and done[0] is second.data
+        assert not np.array_equal(second.data, before)
 
 
 def test_adam_helper_starts_no_thread_for_small_parameters():

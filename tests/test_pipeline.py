@@ -1,7 +1,9 @@
 """Training schedule, fusion, k-means and evaluation."""
 
 import contextlib
+import gc
 import threading
+import weakref
 
 import numpy as np
 import pytest
@@ -269,13 +271,36 @@ def test_train_joins_the_adam_helper_when_it_aborts():
 
 
 def test_desk_training_starts_no_thread(monkeypatch):
-    def refuse(*args):
-        raise AssertionError("a desk model started the Adam helper")
+    def refuse(*args, **kwargs):
+        raise AssertionError("a desk model built the Adam executor")
 
-    monkeypatch.setattr(nn, "_AdamHelper", refuse)
+    monkeypatch.setattr(nn, "ThreadPoolExecutor", refuse)
     ds = _tiny_dataset(seed=12)
     cfg = _desk_config(pretrain_epochs=1, epochs=1)
     _fit(ds, cfg)
+
+
+def test_a_step_is_freed_before_the_next_forward_pass(monkeypatch):
+    ds = _tiny_dataset(seed=13)
+    cfg = _desk_config(pretrain_epochs=1, epochs=1)
+    forward = pipeline.forward_views
+    earlier, alive = [], []
+
+    def watch(model, batch, tape=None):
+        # reference counting alone must free the previous step
+        alive.append(sum(ref() is not None for ref in earlier))
+        feats = forward(model, batch, tape)
+        earlier.extend(weakref.ref(f) for f in feats)
+        return feats
+
+    monkeypatch.setattr(pipeline, "forward_views", watch)
+    gc.collect()
+    gc.disable()
+    try:
+        _fit(ds, cfg)
+    finally:
+        gc.enable()
+    assert len(alive) > 2 and not any(alive)
 
 
 def test_history_csv_layout(tmp_path):
