@@ -245,7 +245,8 @@ def run_cell(cfg, setting, rate, ablation, out_dir=None):
         # wall times vary run to run, so they stay out of the reproducible
         # history.csv and report.json
         _write_json(out / "timings.json",
-                    [{"epoch": r.epoch, "phase": r.phase, "seconds": r.seconds}
+                    [{"epoch": r.epoch, "phase": r.phase, "seconds": r.seconds,
+                      "eval_seconds": r.eval_seconds}
                      for r in history.records])
         save_checkpoint(model, out / "checkpoint.npz")
         result["artifacts"] = {"history_csv": "history.csv",

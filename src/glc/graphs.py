@@ -17,6 +17,9 @@ changes no gradient, so the weighted and the plain loss share one.  Pair
 selection sorts each anchor's row of the graph once and reads both partner
 sets off that order; a row with a tied, NaN or infinite similarity is
 selected again by two stable sorts, so ties always go to the lower index.
+The global term is one tape node, :func:`glc.nn.pair_contrast`: it reads
+the selected entries through flat offsets, and its closed-form VJP writes
+their gradients into one N x N buffer for the similarity matrix.
 Gradients flow only through the similarity entries that the pair sets
 select, never through set membership itself.
 """
@@ -208,6 +211,12 @@ def ggc_loss(graph, pairs, temperature, include_positive_in_denominator=False):
     ``-log( exp(G_ij / t) / sum_{k in neg(i)} exp(G_ik / t) )``.
     The denominator runs over the negatives only; the optional flag adds
     the pair's own positive term to it (the conventional variant).
+
+    Both variants record one tape node, :func:`glc.nn.pair_contrast`, whose
+    closed-form VJP writes the gradient of every selected entry into one
+    N x N buffer for ``graph.sims``; value and gradient are byte-equal to
+    the chain of gathers, log-sum-exp and sums it replaces.  The pair sets
+    are constants: selection carries no gradient.
     """
     if temperature <= 0.0:
         raise ConfigError("temperature must be positive")
@@ -215,21 +224,8 @@ def ggc_loss(graph, pairs, temperature, include_positive_in_denominator=False):
         raise ShapeError("pair sets do not match the graph")
     if pairs.negatives.shape[1] < 1:
         raise ConfigError("anchors with positives need at least one negative")
-    inv_t = 1.0 / temperature
-    anchors, partners = pairs.positive_pairs()
-    pos_vals = nn.gather_pairs(graph.sims, anchors, partners)
-
-    if include_positive_in_denominator:
-        cols = np.concatenate([pairs.negatives[anchors], partners[:, None]],
-                              axis=1)
-        den = nn.logsumexp_rows(nn.mul(nn.gather_cols(graph.sims, cols,
-                                                      rows=anchors), inv_t))
-        per_pair_den = den
-    else:
-        neg_vals = nn.gather_cols(graph.sims, pairs.negatives)
-        den = nn.logsumexp_rows(nn.mul(neg_vals, inv_t))       # (N_c,)
-        per_pair_den = nn.take_rows(den, anchors)
-    return nn.sub(nn.tsum(per_pair_den), nn.tsum(nn.mul(pos_vals, inv_t)))
+    return nn.pair_contrast(graph.sims, pairs.positives, pairs.negatives,
+                            1.0 / temperature, include_positive_in_denominator)
 
 
 # ---------------------------------------------------------------------------

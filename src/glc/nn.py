@@ -9,6 +9,10 @@ what dense MLPs, affinity graphs and log-sum-exp contrastive losses need;
 log-sum-exp subtracts the row maximum so large similarity/temperature
 ratios cannot overflow.  The gathers' VJPs scatter with ``np.bincount``:
 repeated indices add in index order from 0.0, byte-equal to ``np.add.at``.
+:func:`pair_contrast` is the global graph's contrastive loss as one node:
+it reads each row's positive and negative entries through flat offsets,
+and its VJP writes into one buffer of the matrix's shape, byte-equal to the
+same loss built from the gathers and ``logsumexp_rows``.
 
 A tape is meant for a single forward/backward cycle.  ``backward`` detaches
 the watched parameters and every recorded node from the tape afterwards,
@@ -414,6 +418,89 @@ def logsumexp_rows(a, mask=None):
 
     def vjp(g):
         return (g[:, None] * softmax if a.requires_grad else None,)
+
+    return _attach(out, (a,), vjp)
+
+
+def pair_contrast(a, positives, negatives, scale,
+                  include_positive_in_denominator=False):
+    """InfoNCE over per-row partner sets of a square matrix, as one node.
+
+    Row i of ``positives`` (n, k) and ``negatives`` (n, m) holds column
+    indices of ``a``; every positive pair (i, j) adds
+    ``log(sum_{c in neg(i)} exp(scale * a[i, c])) - scale * a[i, j]``, and
+    the result is the sum over all pairs.  With
+    ``include_positive_in_denominator`` the pair's own positive entry joins
+    its denominator.  A row's positives and negatives must be distinct
+    columns.
+
+    The value and the gradient are byte-equal to the chain ``gather_pairs``,
+    ``gather_cols``, ``mul``, ``logsumexp_rows``, ``take_rows``, ``tsum``,
+    ``sub``: the log-sum-exp runs the same operations, the loss sums in the
+    same order, and the VJP writes each entry it touches once into one
+    float64 buffer of ``a``'s shape, as the sum the chain's scatters form,
+    from +0.0.  A row's denominator gradient is the upstream gradient added
+    k times from 0.0, as ``take_rows`` adds it, not ``k * g``.  When the
+    positive joins the denominator each pair has a row of its own: a
+    negative's k entries add in pair order, and a positive's denominator
+    entry comes before its positive term.
+    """
+    a = _wrap(a)
+    x = a.data
+    positives = np.asarray(positives, dtype=np.intp)
+    negatives = np.asarray(negatives, dtype=np.intp)
+    if x.ndim != 2 or x.shape[0] != x.shape[1]:
+        raise ShapeError("pair_contrast expects a square matrix")
+    n = x.shape[0]
+    if positives.ndim != 2 or negatives.ndim != 2 or \
+            positives.shape[0] != n or negatives.shape[0] != n:
+        raise ShapeError("partner sets need one row per matrix row")
+    k = positives.shape[1]
+    # C-order offsets of the entries read, so each set is one flat take
+    base = np.arange(n, dtype=np.intp)[:, None] * n
+    pos_flat = base + positives
+    neg_flat = base + negatives
+    if include_positive_in_denominator:
+        den_flat = np.concatenate([np.repeat(neg_flat, k, axis=0),
+                                   pos_flat.reshape(-1, 1)], axis=1)
+    else:
+        den_flat = neg_flat
+    # logsumexp_rows' operations, each in place on one array
+    softmax = np.take(x, den_flat)
+    softmax *= scale
+    m = softmax.max(axis=1, keepdims=True)
+    softmax -= m
+    np.exp(softmax, out=softmax)
+    s = softmax.sum(axis=1, keepdims=True)
+    den = (m + np.log(s)).reshape(-1)
+    softmax /= s
+    per_pair = den if include_positive_in_denominator else np.repeat(den, k)
+    out = np.sum(per_pair) - np.sum(np.take(x, pos_flat) * scale)
+
+    def vjp(g):
+        if not a.requires_grad:
+            return (None,)
+        g = float(g)
+        pos_term = (-g) * scale
+        if include_positive_in_denominator:
+            rows = ((g * softmax) * scale).reshape(n, k, -1)
+            neg_grad = np.zeros(negatives.shape)
+            for j in range(k):              # pair order, from 0.0
+                neg_grad += rows[:, j, :-1]
+            pos_grad = (rows[:, :, -1] + 0.0) + pos_term
+        else:
+            g_den = 0.0
+            for _ in range(k):              # as take_rows sums it, not k * g
+                g_den += g
+            neg_grad = g_den * softmax
+            neg_grad *= scale
+            neg_grad += 0.0
+            pos_grad = 0.0 + pos_term
+        grad = np.zeros(x.shape)
+        flat = grad.reshape(-1)
+        flat[neg_flat] = neg_grad
+        flat[pos_flat] = pos_grad
+        return (grad,)
 
     return _attach(out, (a,), vjp)
 

@@ -62,7 +62,8 @@ class EpochRecord:
     acc: float = None
     nmi: float = None
     ari: float = None
-    seconds: float = 0.0
+    seconds: float = 0.0        # wall time of the epoch, evaluation included
+    eval_seconds: float = 0.0   # the checkpoint's fuse, k-means and scoring
 
 
 @dataclass
@@ -205,6 +206,7 @@ def _run_phase(model, dataset, config, history, phase):
             checkpoint = joint and cfg.eval_every > 0 and (
                 e == 1 or e == cfg.epochs or e % cfg.eval_every == 0)
             if checkpoint and dataset.labels is not None:
+                eval_start = time.perf_counter()
                 fused = fuse_features(model, dataset, space=cfg.fuse_space)
                 pred = kmeans(fused, dataset.n_classes,
                               runs=cfg.kmeans_restarts,
@@ -212,6 +214,7 @@ def _run_phase(model, dataset, config, history, phase):
                 record.acc = accuracy(pred, dataset.labels)
                 record.nmi = nmi(pred, dataset.labels)
                 record.ari = ari(pred, dataset.labels)
+                record.eval_seconds = time.perf_counter() - eval_start
             record.seconds = time.perf_counter() - start
             if history is not None:
                 history.records.append(record)

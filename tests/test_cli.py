@@ -313,8 +313,28 @@ def test_train_writes_epoch_timings_apart_from_reproducible_artifacts(
               for line in hist_a.decode().strip().split("\n")[1:]]
     assert [str(t["epoch"]) for t in timings] == epochs
     assert [t["phase"] for t in timings] == ["pretrain", "train", "train"]
-    assert all(set(t) == {"epoch", "phase", "seconds"} for t in timings)
+    assert all(set(t) == {"epoch", "phase", "seconds", "eval_seconds"}
+               for t in timings)
     assert all(t["seconds"] > 0 for t in timings)
+
+
+def test_timings_split_off_the_evaluation_of_checkpoint_epochs(tmp_path,
+                                                                fast_cfg):
+    # eval_every=5 over 3 joint epochs: checkpoints at the first and the last
+    cfg = json.loads(Path(fast_cfg).read_text())
+    cfg.update(epochs=3, eval_every=5)
+    path = tmp_path / "curve.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "run"
+    assert main(_train_args(out, str(path))) == 0
+    timings = json.loads((out / "timings.json").read_text())
+    rows = [line.split(",") for line in
+            (out / "history.csv").read_text().strip().split("\n")[1:]]
+    checkpoints = [row[5] != "" for row in rows]
+    assert checkpoints == [False, True, False, True]
+    for t, checkpoint in zip(timings, checkpoints):
+        assert 0.0 <= t["eval_seconds"] <= t["seconds"]
+        assert (t["eval_seconds"] > 0.0) == checkpoint
 
 
 def test_retrain_protocol_trains_once_per_seed(tmp_path, fast_cfg):

@@ -10,6 +10,7 @@ import math
 import numpy as np
 import pytest
 
+from glc import graphs, nn
 from glc.errors import ConfigError, NumericError, ShapeError
 from glc.graphs import (GlobalAffinityGraph, PairSets, build_global_graph,
                         ggc_loss, high_order_diag, high_order_graph,
@@ -356,6 +357,107 @@ def test_ggc_gradient_matches_finite_differences():
         return ggc_loss(g, pairs, 0.5)
 
     assert grad_check(loss, [h]) < 1e-6
+
+
+def test_ggc_include_positive_gradient_matches_finite_differences():
+    rng = np.random.default_rng(8)
+    h = Tensor(rng.normal(size=(6, 4)))
+
+    def loss(tape):
+        if tape is not None:
+            tape.watch(h)
+        g = build_global_graph([h])
+        pairs = select_pairs(g, 25.0, 50.0)
+        return ggc_loss(g, pairs, 0.5, include_positive_in_denominator=True)
+
+    assert grad_check(loss, [h]) < 1e-6
+
+
+@pytest.mark.parametrize("include", [False, True])
+def test_ggc_records_one_tape_node(include):
+    h = Tensor(np.random.default_rng(9).normal(size=(12, 3)))
+    tape = Tape()
+    tape.watch(h)
+    g = build_global_graph([h])
+    pairs = select_pairs(g, 20.0, 50.0)
+    before = len(tape._nodes)
+    loss = ggc_loss(g, pairs, 0.5, include_positive_in_denominator=include)
+    assert len(tape._nodes) == before + 1
+    assert tape._nodes[-1] is loss and loss._parents == (g.sims,)
+
+
+def _reference_ggc(graph, pairs, temperature, include_positive):
+    """The global term as the chain of gathers it once was on the tape."""
+    inv_t = 1.0 / temperature
+    anchors, partners = pairs.positive_pairs()
+    pos_vals = nn.gather_pairs(graph.sims, anchors, partners)
+    if include_positive:
+        cols = np.concatenate([pairs.negatives[anchors], partners[:, None]],
+                              axis=1)
+        per_pair_den = nn.logsumexp_rows(nn.mul(
+            nn.gather_cols(graph.sims, cols, rows=anchors), inv_t))
+    else:
+        den = nn.logsumexp_rows(nn.mul(
+            nn.gather_cols(graph.sims, pairs.negatives), inv_t))
+        per_pair_den = take_rows(den, anchors)
+    return nn.sub(nn.tsum(per_pair_den), nn.tsum(nn.mul(pos_vals, inv_t)))
+
+
+def _ggc_bytes(loss_fn, views, tau, include, upstream):
+    """Loss and feature-gradient bytes, and the gradient of ``sims`` itself.
+
+    The similarity matrix is differentiated as a watched leaf of its own:
+    behind the graph's matmul a -0.0 entry would be absorbed.
+    """
+    tape = Tape()
+    feats = [Tensor(x.copy()) for x in views]
+    for t in feats:
+        tape.watch(t)
+    g = build_global_graph(feats)
+    pairs = select_pairs(g, 3.0, 50.0)
+    loss = nn.mul(loss_fn(g, pairs, tau, include), upstream)
+    grads = backward(tape, loss)
+    out = [loss.data.tobytes()] + [grads[t].tobytes() for t in feats]
+
+    leaf = _manual_graph(g.sims.data.copy())
+    tape = Tape()
+    tape.watch(leaf.sims)
+    sims_grad = backward(tape, nn.mul(loss_fn(leaf, pairs, tau, include),
+                                      upstream))[leaf.sims]
+    return out, sims_grad, pairs
+
+
+@pytest.mark.parametrize("include", [False, True])
+def test_ggc_is_byte_equal_to_the_gather_chain(include, monkeypatch):
+    # 9 or 10 positives per anchor: adding an upstream 0.1 k times from 0.0
+    # is not k * 0.1 for k >= 6; at tau = 0.001 some softmax entries
+    # underflow to 0, so the -0.1 case makes -0.0 gradients that the +0.0
+    # base must turn to +0.0
+    rng = np.random.default_rng(40)
+    plain = [rng.normal(size=(110, 6)) for _ in range(3)]
+    tied = rng.normal(size=(300, 5))
+    tied[10:40] = tied[0:30]
+    tied[200:230] = tied[200]
+    stable = []
+    real = graphs._stable_pairs
+    monkeypatch.setattr(graphs, "_stable_pairs",
+                        lambda *a: stable.append(1) or real(*a))
+    underflow = False
+    for views in (plain, [tied]):
+        for tau in (0.5, 0.001):
+            for upstream in (0.1, -0.1):
+                got, got_sims, _ = _ggc_bytes(ggc_loss, views, tau, include,
+                                              upstream)
+                want, want_sims, pairs = _ggc_bytes(_reference_ggc, views,
+                                                    tau, include, upstream)
+                assert pairs.positives.shape[1] >= 6
+                assert got == want
+                assert got_sims.tobytes() == want_sims.tobytes()
+                rows = np.arange(pairs.anchor_count)[:, None]
+                underflow |= bool((want_sims[rows, pairs.negatives]
+                                   == 0.0).any())
+    assert stable, "the tied graph never took the stable-sort path"
+    assert underflow, "no softmax entry underflowed"
 
 
 def test_ggc_validates_temperature():

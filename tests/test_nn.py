@@ -340,6 +340,17 @@ def test_logsumexp_rejects_fully_masked_row():
         logsumexp_rows(x, mask=mask)
 
 
+def test_pair_contrast_rejects_mismatched_shapes():
+    sets = np.array([[1], [0], [0]]), np.array([[2], [2], [1]])
+    with pytest.raises(ShapeError):
+        nn.pair_contrast(Tensor(np.zeros((3, 4))), *sets, 1.0)
+    with pytest.raises(ShapeError):
+        nn.pair_contrast(Tensor(np.zeros((2, 2))), *sets, 1.0)
+    with pytest.raises(ShapeError):
+        nn.pair_contrast(Tensor(np.zeros((3, 3))), sets[0].reshape(-1),
+                         sets[1], 1.0)
+
+
 def test_grad_check_mlp_loss():
     rng = np.random.default_rng(18)
     net = Mlp.create([3, 6, 2], rng)
