@@ -17,9 +17,12 @@ changes no gradient, so the weighted and the plain loss share one.  Pair
 selection sorts each anchor's row of the graph once and reads both partner
 sets off that order; a row with a tied, NaN or infinite similarity is
 selected again by two stable sorts, so ties always go to the lower index.
-The global term is one tape node, :func:`glc.nn.pair_contrast`: it reads
-the selected entries through flat offsets, and its closed-form VJP writes
-their gradients into one N x N buffer for the similarity matrix.
+Both terms are one tape node each, :func:`glc.nn.pair_contrast`, reading
+their entries through flat offsets: the global term from the N x N graph
+with the selected pair sets, the cross-view term from a view pair's
+(n, 2n) block ``[s_uu | s_uv]`` with the same sample in the other view as
+each anchor's positive.  Its closed-form VJP writes the gradients into one
+buffer of the matrix's shape.
 Gradients flow only through the similarity entries that the pair sets
 select, never through set membership itself.
 """
@@ -118,11 +121,6 @@ class PairSets:
     @property
     def anchor_count(self):
         return self.positives.shape[0]
-
-    def positive_pairs(self):
-        """Flattened (anchor, partner) index arrays."""
-        n, k = self.positives.shape
-        return np.repeat(np.arange(n), k), self.positives.reshape(-1)
 
 
 def _stable_pairs(sims, selves, n_pos, n_neg):
@@ -284,6 +282,11 @@ def pairwise_contrastive_loss(h_u, h_v, temperature):
 
     Anchors are view u's rows.  The positive of anchor i is view v's row i;
     the denominator sums over all other rows of both views (2(n-1) terms).
+    The rows of both views are normalized once, as one stack [u; v], and
+    one matmul of u's rows against it gives the (n, 2n) block
+    ``[s_uu | s_uv]``: the loss is one :func:`glc.nn.pair_contrast` node on
+    it, whose positive of anchor i is column n+i and whose negatives are
+    every column but i and n+i.
     """
     if temperature <= 0.0:
         raise ConfigError("temperature must be positive")
@@ -294,21 +297,15 @@ def pairwise_contrastive_loss(h_u, h_v, temperature):
     if n < 2:
         logger.warning("cross-view contrast skipped: %d co-available rows", n)
         return Tensor(0.0)
-    inv_t = 1.0 / temperature
-    un = _normalize_rows(h_u)
-    vn = _normalize_rows(h_v)
-    s_uu = nn.matmul(un, nn.transpose(un))
-    s_uv = nn.matmul(un, nn.transpose(vn))
-    sims = nn.concat_cols([s_uu, s_uv])                   # (n, 2n)
-
-    keep = np.ones((n, 2 * n), dtype=bool)
+    stack = _normalize_rows(nn.concat_rows([h_u, h_v]))    # (2n, d)
     idx = np.arange(n)
+    sims = nn.matmul(nn.take_rows(stack, idx), nn.transpose(stack))
+    keep = np.ones((n, 2 * n), dtype=bool)
     keep[idx, idx] = False                                # the anchor itself
     keep[idx, n + idx] = False                            # its positive
-    den = nn.logsumexp_rows(nn.mul(sims, inv_t), keep)    # (n,)
-
-    pos = nn.gather_pairs(s_uv, idx, idx)
-    return nn.sub(nn.tsum(den), nn.tsum(nn.mul(pos, inv_t)))
+    negatives = np.broadcast_to(np.arange(2 * n), keep.shape)[keep]
+    return nn.pair_contrast(sims, (idx + n)[:, None],
+                            negatives.reshape(n, 2 * n - 2), 1.0 / temperature)
 
 
 def lwc_loss(h_u, h_v, weights, temperature):
@@ -339,8 +336,9 @@ def lwc_total(h_list, co_available, temperature):
 
     ``co_available`` maps (u, v) with u < v to the pair's local row
     indices; each pair adds :func:`pairwise_contrastive_loss` on those
-    rows.  No pair weights enter: this is plain cross-view InfoNCE.  Pairs
-    with fewer than 2 common samples are skipped with a warning.
+    rows, one :func:`glc.nn.pair_contrast` node per pair.  No pair weights
+    enter: this is plain cross-view InfoNCE.  Pairs with fewer than 2
+    common samples are skipped with a warning.
     """
     total = Tensor(0.0)
     n_views = len(h_list)

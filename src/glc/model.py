@@ -3,9 +3,10 @@
 Each view owns an encoder (input -> hidden widths -> latent), a mirrored
 decoder, and a two-layer projection head (latent -> latent -> contrast
 width) whose outputs feed the contrastive objectives.  Hidden layers use
-ReLU, every final layer is linear.  The default widths follow the full
+ReLU, every final layer is linear.  The default widths follow the paper
 profile (hidden 500/500/2000, latent 512, contrast 128); tests and quick
-runs use the smaller desk profile defined in the pipeline module.
+runs use the smaller desk profile, defined next to it in
+``glc.config.PROFILES``.
 """
 
 import json

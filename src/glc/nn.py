@@ -5,14 +5,14 @@ scalars).  ``Tensor`` wraps one array together with the bookkeeping for
 reverse-mode differentiation: while a ``Tape`` is attached, each operation
 appends a node, and ``backward`` replays the nodes in reverse order to
 accumulate a gradient for every watched parameter.  The op set is exactly
-what dense MLPs, affinity graphs and log-sum-exp contrastive losses need;
-log-sum-exp subtracts the row maximum so large similarity/temperature
-ratios cannot overflow.  The gathers' VJPs scatter with ``np.bincount``:
-repeated indices add in index order from 0.0, byte-equal to ``np.add.at``.
-:func:`pair_contrast` is the global graph's contrastive loss as one node:
-it reads each row's positive and negative entries through flat offsets,
-and its VJP writes into one buffer of the matrix's shape, byte-equal to the
-same loss built from the gathers and ``logsumexp_rows``.
+what dense MLPs, affinity graphs and InfoNCE need.  ``take_rows``' VJP
+scatters with ``np.bincount``: repeated indices add in index order from
+0.0, byte-equal to ``np.add.at``.  :func:`pair_contrast` is the one contrastive
+kernel, for the global graph's term and the cross-view term alike: it reads
+each anchor row's positive and negative entries through flat offsets,
+subtracts the row maximum before exponentiating so large
+similarity/temperature ratios cannot overflow, and its VJP writes into one
+buffer of the matrix's shape.
 
 A tape is meant for a single forward/backward cycle.  ``backward`` detaches
 the watched parameters and every recorded node from the tape afterwards,
@@ -241,25 +241,6 @@ def relu(a):
     return _attach(np.where(on, a.data, 0.0), (a,), vjp)
 
 
-def exp(a):
-    a = _wrap(a)
-    out = np.exp(a.data)
-
-    def vjp(g):
-        return (g * out if a.requires_grad else None,)
-
-    return _attach(out, (a,), vjp)
-
-
-def log(a):
-    a = _wrap(a)
-
-    def vjp(g):
-        return (g / a.data if a.requires_grad else None,)
-
-    return _attach(np.log(a.data), (a,), vjp)
-
-
 def sqrt(a):
     a = _wrap(a)
     out = np.sqrt(a.data)
@@ -303,23 +284,6 @@ def concat_rows(parts):
     return _attach(np.concatenate([p.data for p in parts], axis=0), parts, vjp)
 
 
-def concat_cols(parts):
-    """Stack 2-D tensors along axis 1."""
-    parts = tuple(_wrap(p) for p in parts)
-    if not parts:
-        raise ShapeError("concat_cols needs at least one part")
-    widths = [p.data.shape[1] for p in parts]
-
-    def vjp(g):
-        outs, offset = [], 0
-        for p, width in zip(parts, widths):
-            outs.append(g[:, offset:offset + width] if p.requires_grad else None)
-            offset += width
-        return tuple(outs)
-
-    return _attach(np.concatenate([p.data for p in parts], axis=1), parts, vjp)
-
-
 def _scatter_add(shape, flat, g):
     """Sum ``g`` into float64 zeros of ``shape`` at C-order offsets ``flat``.
 
@@ -353,111 +317,45 @@ def take_rows(a, idx):
     return _attach(a.data[idx], (a,), vjp)
 
 
-def gather_pairs(a, rows, cols):
-    """1-D gather of a[rows[k], cols[k]] from a 2-D tensor."""
-    a = _wrap(a)
-    rows = np.asarray(rows, dtype=np.intp)
-    cols = np.asarray(cols, dtype=np.intp)
-
-    def vjp(g):
-        if not a.requires_grad:
-            return (None,)
-        n_rows, n_cols = a.data.shape
-        flat = _nonneg(rows, n_rows) * n_cols + _nonneg(cols, n_cols)
-        return (_scatter_add(a.data.shape, flat, g),)
-
-    return _attach(a.data[rows, cols], (a,), vjp)
-
-
-def gather_cols(a, cols, rows=None):
-    """2-D gather: out[r, c] = a[rows[r], cols[r, c]] (rows defaults to arange)."""
-    a = _wrap(a)
-    cols = np.asarray(cols, dtype=np.intp)
-    if cols.ndim != 2:
-        raise ShapeError("gather_cols expects a 2-D column index matrix")
-    if rows is None:
-        rows = np.arange(cols.shape[0], dtype=np.intp)
-    else:
-        rows = np.asarray(rows, dtype=np.intp)
-    row_grid = np.broadcast_to(rows[:, None], cols.shape)
-
-    def vjp(g):
-        if not a.requires_grad:
-            return (None,)
-        n_rows, n_cols = a.data.shape
-        flat = _nonneg(rows, n_rows)[:, None] * n_cols + _nonneg(cols, n_cols)
-        return (_scatter_add(a.data.shape, flat, g),)
-
-    return _attach(a.data[row_grid, cols], (a,), vjp)
-
-
-def logsumexp_rows(a, mask=None):
-    """Row-wise log(sum(exp(x))) over entries where ``mask`` is True.
-
-    Uses max subtraction for stability.  Every row must keep at least one
-    included entry.
-    """
-    a = _wrap(a)
-    x = a.data
-    if x.ndim != 2:
-        raise ShapeError("logsumexp_rows expects a 2-D tensor")
-    if mask is None:
-        masked = x
-    else:
-        mask = np.asarray(mask, dtype=bool)
-        if mask.shape != x.shape:
-            raise ShapeError("mask shape must match the tensor")
-        if not mask.any(axis=1).all():
-            raise ShapeError("logsumexp_rows: a row excludes every entry")
-        masked = np.where(mask, x, -np.inf)
-    m = masked.max(axis=1, keepdims=True)
-    e = np.exp(masked - m)
-    s = e.sum(axis=1, keepdims=True)
-    out = (m + np.log(s)).reshape(-1)
-    softmax = e / s
-
-    def vjp(g):
-        return (g[:, None] * softmax if a.requires_grad else None,)
-
-    return _attach(out, (a,), vjp)
-
-
 def pair_contrast(a, positives, negatives, scale,
                   include_positive_in_denominator=False):
-    """InfoNCE over per-row partner sets of a square matrix, as one node.
+    """InfoNCE over per-row partner sets of an (n, c) matrix, as one node.
 
-    Row i of ``positives`` (n, k) and ``negatives`` (n, m) holds column
-    indices of ``a``; every positive pair (i, j) adds
-    ``log(sum_{c in neg(i)} exp(scale * a[i, c])) - scale * a[i, j]``, and
+    Rows of ``a`` are anchors.  Row i of ``positives`` (n, k) and
+    ``negatives`` (n, m) holds column indices of ``a``; every positive pair
+    (i, j) adds
+    ``log(sum_{l in neg(i)} exp(scale * a[i, l])) - scale * a[i, j]``, and
     the result is the sum over all pairs.  With
     ``include_positive_in_denominator`` the pair's own positive entry joins
     its denominator.  A row's positives and negatives must be distinct
-    columns.
+    columns.  Both contrastive terms run through it: the global graph's
+    N x N similarities, and a view pair's (n, 2n) block ``[s_uu | s_uv]``.
 
     The value and the gradient are byte-equal to the chain ``gather_pairs``,
     ``gather_cols``, ``mul``, ``logsumexp_rows``, ``take_rows``, ``tsum``,
-    ``sub``: the log-sum-exp runs the same operations, the loss sums in the
-    same order, and the VJP writes each entry it touches once into one
-    float64 buffer of ``a``'s shape, as the sum the chain's scatters form,
-    from +0.0.  A row's denominator gradient is the upstream gradient added
-    k times from 0.0, as ``take_rows`` adds it, not ``k * g``.  When the
-    positive joins the denominator each pair has a row of its own: a
-    negative's k entries add in pair order, and a positive's denominator
-    entry comes before its positive term.
+    ``sub`` (its ops are kept in ``tests/reference_chain.py``): the
+    log-sum-exp runs the same operations, the loss sums in the same order,
+    and the VJP writes each entry it touches once into one float64 buffer
+    of ``a``'s shape, as the sum the chain's scatters form, from +0.0.  A
+    row's denominator gradient is the upstream gradient added k times from
+    0.0, as ``take_rows`` adds it, not ``k * g``.  When the positive joins
+    the denominator each pair has a row of its own: a negative's k entries
+    add in pair order, and a positive's denominator entry comes before its
+    positive term.
     """
     a = _wrap(a)
     x = a.data
     positives = np.asarray(positives, dtype=np.intp)
     negatives = np.asarray(negatives, dtype=np.intp)
-    if x.ndim != 2 or x.shape[0] != x.shape[1]:
-        raise ShapeError("pair_contrast expects a square matrix")
-    n = x.shape[0]
+    if x.ndim != 2:
+        raise ShapeError("pair_contrast expects a 2-D matrix")
+    n, c = x.shape
     if positives.ndim != 2 or negatives.ndim != 2 or \
             positives.shape[0] != n or negatives.shape[0] != n:
         raise ShapeError("partner sets need one row per matrix row")
     k = positives.shape[1]
     # C-order offsets of the entries read, so each set is one flat take
-    base = np.arange(n, dtype=np.intp)[:, None] * n
+    base = np.arange(n, dtype=np.intp)[:, None] * c
     pos_flat = base + positives
     neg_flat = base + negatives
     if include_positive_in_denominator:
@@ -465,7 +363,7 @@ def pair_contrast(a, positives, negatives, scale,
                                    pos_flat.reshape(-1, 1)], axis=1)
     else:
         den_flat = neg_flat
-    # logsumexp_rows' operations, each in place on one array
+    # a masked log-sum-exp's operations, each in place on one array
     softmax = np.take(x, den_flat)
     softmax *= scale
     m = softmax.max(axis=1, keepdims=True)

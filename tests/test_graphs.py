@@ -17,6 +17,8 @@ from glc.graphs import (GlobalAffinityGraph, PairSets, build_global_graph,
                         local_affinity, lwc_loss, lwc_total, median_sigma,
                         pairwise_contrastive_loss, select_pairs)
 from glc.nn import Tape, Tensor, backward, grad_check, take_rows
+from reference_chain import reference_ggc as _reference_ggc
+from reference_chain import reference_pairwise
 
 
 # ---------------------------------------------------------------------------
@@ -386,23 +388,6 @@ def test_ggc_records_one_tape_node(include):
     assert tape._nodes[-1] is loss and loss._parents == (g.sims,)
 
 
-def _reference_ggc(graph, pairs, temperature, include_positive):
-    """The global term as the chain of gathers it once was on the tape."""
-    inv_t = 1.0 / temperature
-    anchors, partners = pairs.positive_pairs()
-    pos_vals = nn.gather_pairs(graph.sims, anchors, partners)
-    if include_positive:
-        cols = np.concatenate([pairs.negatives[anchors], partners[:, None]],
-                              axis=1)
-        per_pair_den = nn.logsumexp_rows(nn.mul(
-            nn.gather_cols(graph.sims, cols, rows=anchors), inv_t))
-    else:
-        den = nn.logsumexp_rows(nn.mul(
-            nn.gather_cols(graph.sims, pairs.negatives), inv_t))
-        per_pair_den = take_rows(den, anchors)
-    return nn.sub(nn.tsum(per_pair_den), nn.tsum(nn.mul(pos_vals, inv_t)))
-
-
 def _ggc_bytes(loss_fn, views, tau, include, upstream):
     """Loss and feature-gradient bytes, and the gradient of ``sims`` itself.
 
@@ -552,6 +537,72 @@ def test_pairwise_matches_oracle_sweep():
         got = float(pairwise_contrastive_loss(h_u, h_v, tau).data)
         want = oracle_cross_view(h_u, h_v, tau)
         np.testing.assert_allclose(got, want, atol=1e-9, rtol=1e-9)
+
+
+def _cross_view_value_and_grads(total_fn, views, co, tau):
+    tape = Tape()
+    feats = [Tensor(x.copy()) for x in views]
+    for t in feats:
+        tape.watch(t)
+    loss = total_fn(feats, co, tau)
+    grads = backward(tape, loss)
+    return loss.item(), [grads[t] for t in feats]
+
+
+def _reference_total(feats, co, tau):
+    total = Tensor(0.0)
+    for (u, v), (ru, rv) in co.items():
+        total = nn.add(total, reference_pairwise(
+            take_rows(feats[u], ru), take_rows(feats[v], rv), tau))
+    return total
+
+
+@pytest.mark.parametrize("tau", [0.5, 0.001])
+def test_pairwise_matches_the_old_chain(tau):
+    # views of different lengths whose pairs share different rows at
+    # different local positions; one pair has only n = 2 common rows
+    rng = np.random.default_rng(41)
+    views = [rng.normal(size=(rows, 5)) for rows in (9, 7, 8)]
+    co = {(0, 1): (np.array([0, 1, 2, 4, 5, 6, 8]), np.arange(7)),
+          (0, 2): (np.array([3, 7]), np.array([1, 6])),
+          (1, 2): (np.array([0, 2, 3, 6]), np.array([0, 3, 4, 7]))}
+    got, got_grads = _cross_view_value_and_grads(lwc_total, views, co, tau)
+    want, want_grads = _cross_view_value_and_grads(_reference_total, views,
+                                                   co, tau)
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+    for g, w in zip(got_grads, want_grads):
+        assert np.abs(g - w).max() <= 1e-12 * np.abs(w).max()
+    if tau == 0.001:
+        # some denominator term underflows exp() to 0 at this temperature
+        u, v = (x[co[(0, 1)][i]] for i, x in enumerate(views[:2]))
+        u = u / np.linalg.norm(u, axis=1, keepdims=True)
+        v = v / np.linalg.norm(v, axis=1, keepdims=True)
+        scaled = np.hstack([u @ u.T, u @ v.T]) / tau
+        assert (scaled.max(axis=1, keepdims=True) - scaled > 746.0).any()
+
+
+def test_lwc_total_records_one_pair_contrast_node_per_pair(monkeypatch):
+    rng = np.random.default_rng(42)
+    h = [Tensor(rng.normal(size=(6, 3))) for _ in range(3)]
+    co = {(0, 1): (np.arange(6), np.arange(6)),
+          (0, 2): (np.array([2]), np.array([2])),      # skipped: 1 row
+          (1, 2): (np.array([1, 4, 5]), np.array([1, 4, 5]))}
+    calls = []
+    real = nn.pair_contrast
+
+    def spy(a, *args, **kwargs):
+        out = real(a, *args, **kwargs)
+        calls.append((a, out))
+        return out
+
+    monkeypatch.setattr(nn, "pair_contrast", spy)
+    tape = Tape()
+    for t in h:
+        tape.watch(t)
+    lwc_total(h, co, 0.5)
+    assert [a.shape for a, _ in calls] == [(6, 12), (3, 6)]
+    for sims, out in calls:
+        assert out in tape._nodes and out._parents == (sims,)
 
 
 def test_lwc_all_ones_weights_equal_unweighted():
