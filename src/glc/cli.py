@@ -27,23 +27,21 @@ import hashlib
 import json
 import logging
 import os
-import shutil
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, replace
 from pathlib import Path
 
-import numpy as np
-
 from .config import (ABLATIONS, PROFILES, SETTINGS, Config,
                      parse_synthetic_spec)
-from .data import (MANIFEST_NAME, MultiViewDataset, apply_combined,
-                   derive_seed, generate_missing_mask, inject_noise,
-                   load_dataset, make_synthetic, read_manifest, save_dataset)
+from .data import (MultiViewDataset, apply_combined, derive_seed,
+                   generate_missing_mask, inject_noise, load_dataset,
+                   make_synthetic, save_dataset)
 from .errors import ConfigError, DataFormatError, GlcError, NumericError
 from .model import save_checkpoint
-from .pipeline import TrainHistory, evaluate, build_model, pretrain, train
+from .pipeline import (ClusterReport, TrainHistory, evaluate, build_model,
+                       pretrain, train)
 
 logger = logging.getLogger(__name__)
 
@@ -169,8 +167,9 @@ def corrupt_dataset(dataset, setting, rate, noise_std, seed):
 # ---------------------------------------------------------------------------
 
 def resolved_cell_config(cfg, setting, rate, ablation):
-    """The config a cell reports: ``cfg`` at one cell, without the grid lists."""
-    cell = asdict(replace(cfg, setting=setting, rate=rate, ablation=ablation))
+    """The config a cell runs: ``cfg`` resolved at one cell, minus the grids."""
+    cell = asdict(replace(cfg.resolved(), setting=setting, rate=rate,
+                          ablation=ablation))
     for key in ("rates", "settings", "ablations"):
         del cell[key]
     return cell
@@ -205,18 +204,12 @@ def run_cell(cfg, setting, rate, ablation, out_dir=None):
                    seed=derive_seed(cfg.seed, "trainer", setting, f"{rate:.6f}"))
 
     if cfg.eval_protocol == "retrain":
-        reports, history, model = [], None, None
+        report = ClusterReport(seeds=[], accs=[], nmis=[], aris=[])
         for i in range(cfg.eval_seeds):
             run_cfg = replace(tcfg, seed=derive_seed(tcfg.seed, "retrain", i))
             model, history = _fit(run_cfg, dataset)
-            reports.append(evaluate(model, dataset, run_cfg,
-                                    seeds=[derive_seed(run_cfg.seed, "eval", 0)]))
-        report = reports[0]
-        for extra in reports[1:]:
-            report.seeds += extra.seeds
-            report.accs += extra.accs
-            report.nmis += extra.nmis
-            report.aris += extra.aris
+            report.extend(evaluate(model, dataset, run_cfg,
+                                   seeds=[derive_seed(run_cfg.seed, "eval", 0)]))
     else:
         model, history = _fit(tcfg, dataset)
         report = evaluate(model, dataset, tcfg)
@@ -273,32 +266,12 @@ def _write_json(path, obj):
 # ---------------------------------------------------------------------------
 
 def cmd_prepare(cfg):
-    out = Path(cfg.out)
-    setting, rate, source = cfg.setting, cfg.rate, cfg.dataset
-    synthetic = source is None or source.startswith("synthetic:")
-
-    if setting == "clean" and not synthetic:
-        src = Path(source)
-        manifest = read_manifest(src)
-        out.mkdir(parents=True, exist_ok=True)
-        for name in list(manifest["views"]) + (
-                [manifest["labels"]] if manifest.get("labels") else []):
-            shutil.copyfile(src / name, out / name)
-        dataset = load_dataset(source, standardize=False)
-        with open(out / "mask.csv", "w", encoding="utf-8", newline="\n") as fh:
-            for row in np.ones((dataset.n_samples, dataset.n_views), dtype=int):
-                fh.write(",".join(str(v) for v in row) + "\n")
-        manifest["mask"] = "mask.csv"
-        (out / MANIFEST_NAME).write_text(
-            json.dumps(manifest, indent=2, sort_keys=True) + "\n",
-            encoding="utf-8")
-        print(f"prepared clean copy at {out}")
-        return 0
-
+    """Write to disk exactly the dataset ``train`` would train on."""
     base, _ = resolve_dataset(cfg, cfg.seed)
-    dataset = corrupt_dataset(base, setting, rate, cfg.noise_std, cfg.seed)
-    save_dataset(dataset, out)
-    print(f"prepared setting={setting} rate={rate} at {out}")
+    dataset = corrupt_dataset(base, cfg.setting, cfg.rate, cfg.noise_std,
+                              cfg.seed)
+    save_dataset(dataset, cfg.out)
+    print(f"prepared setting={cfg.setting} rate={cfg.rate} at {cfg.out}")
     return 0
 
 

@@ -115,15 +115,6 @@ class MultiViewDataset:
     def n_views(self):
         return len(self.views)
 
-    def copy(self):
-        return MultiViewDataset(
-            views=[v.copy() for v in self.views],
-            mask=self.mask.copy(),
-            labels=None if self.labels is None else self.labels.copy(),
-            noise_flags=None if self.noise_flags is None else self.noise_flags.copy(),
-            n_classes=self.n_classes,
-        )
-
 
 def standardize_views(dataset):
     """Z-score each view's features using only its available rows.
@@ -141,10 +132,11 @@ def standardize_views(dataset):
         sd = x[avail].std(axis=0)
         sd = np.where(sd > 0.0, sd, 1.0)
         views.append((x - mu) / sd)
-    out = dataset.copy()
-    out.views = views
-    return MultiViewDataset(out.views, out.mask, out.labels, out.noise_flags,
-                            out.n_classes)
+    return MultiViewDataset(
+        views, dataset.mask.copy(),
+        None if dataset.labels is None else dataset.labels.copy(),
+        None if dataset.noise_flags is None else dataset.noise_flags.copy(),
+        dataset.n_classes)
 
 
 # ---------------------------------------------------------------------------

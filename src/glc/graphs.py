@@ -145,16 +145,30 @@ def _stable_pairs(sims, selves, n_pos, n_neg):
     return positives, asc[:, :n_neg]
 
 
+def pair_counts(n, pos_percent, neg_percent):
+    """Positives and negatives per anchor of an ``n``-row graph.
+
+    Each anchor has ``N - 1`` candidates: ``n_pos = ceil(pos% * (N - 1))``
+    and ``n_neg = min(ceil(neg% * (N - 1)), N - 1 - n_pos)``, so the two
+    sets never overlap.  ``n_neg < 1`` means the graph is too small for
+    the global term.
+    """
+    candidates = n - 1
+    n_pos = math.ceil(pos_percent * candidates / 100.0)
+    return n_pos, min(math.ceil(neg_percent * candidates / 100.0),
+                      candidates - n_pos)
+
+
 def select_pairs(graph, pos_percent, neg_percent):
     """Pick each anchor's most/least similar partners by percentage.
 
-    Per anchor the self-index is excluded; the ``ceil(pos% * (N_c - 1))``
-    largest remaining similarities become positives and the
-    ``ceil(neg% * (N_c - 1))`` smallest become negatives, ties broken by
-    lower index.  Positives are taken first and removed from the negative
-    candidates, which keeps the sets disjoint; when the two rounded counts
-    would overlap (only possible when pos+neg is at the 100 cap on a tiny
-    graph) the negative count shrinks to the remaining candidates.
+    Per anchor the self-index is excluded; :func:`pair_counts` gives how
+    many of the largest remaining similarities become positives and how
+    many of the smallest become negatives, ties broken by lower index.
+    Positives are taken first and removed from the negative candidates,
+    which keeps the sets disjoint; when the two rounded counts would
+    overlap the negative count shrinks to the remaining candidates, and a
+    graph that leaves no negative is a ConfigError.
 
     One row-wise sort serves both sets: with the diagonal keyed ``+inf``,
     the negatives are the first ``n_neg`` columns of the ascending order
@@ -171,10 +185,7 @@ def select_pairs(graph, pos_percent, neg_percent):
         raise ConfigError("pos + neg must not exceed 100")
     n = graph.size
     candidates = n - 1
-    if candidates < 1:
-        raise ConfigError("pair selection needs at least 2 stacked features")
-    n_pos = math.ceil(pos_percent * candidates / 100.0)
-    n_neg = min(math.ceil(neg_percent * candidates / 100.0), candidates - n_pos)
+    n_pos, n_neg = pair_counts(n, pos_percent, neg_percent)
     if n_neg < 1:
         raise ConfigError(
             f"no negative candidates remain ({candidates} candidates, "

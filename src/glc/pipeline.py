@@ -5,13 +5,17 @@ joint optimization of reconstruction plus the two contrastive terms,
 
     total = rec + alpha * global_graph_term + beta * cross_view_term,
 
-rebuilding the global graph from the current features on every mini-batch;
+rebuilding the global graph from the current features on every mini-batch
+(a batch whose stacked rows leave no negative under
+:func:`glc.graphs.pair_counts` skips the global term with a warning);
 the cross-view term is plain InfoNCE over each view pair's co-available
 samples (the paper's local pair weights are not part of it).
 Evaluation mean-fuses the contrastive features of each sample's available
 views and clusters them with k-means; reported numbers are the mean and
 population std over several k-means seeds on the frozen features (a full
 retrain per seed sits behind ``eval_protocol="retrain"`` at the CLI level).
+:func:`evaluate` is the one place that fuses, clusters and scores: the
+final report, each retrain and each mid-training metric checkpoint call it.
 
 Seeding is derived, never shared: with master seed s, model init uses
 derive_seed(s, "init"), the warm-up batch order derive_seed(s, "pretrain"),
@@ -40,7 +44,8 @@ import numpy as np
 
 from .data import derive_seed, iter_epoch
 from .errors import ConfigError, ShapeError, TrainingAborted
-from .graphs import build_global_graph, ggc_loss, lwc_total, select_pairs
+from .graphs import (build_global_graph, ggc_loss, lwc_total, pair_counts,
+                     select_pairs)
 from .metrics import accuracy, ari, nmi
 from .model import (forward_views, init_model, model_parameters,
                     reconstruction_loss)
@@ -141,14 +146,15 @@ def _step(model, batch, config, params, opt, hand_off, joint, epoch, bi):
     if joint and config.alpha > 0:
         hs = [f.contrast for f in feats]
         stacked = sum(h.data.shape[0] for h in hs)
-        if stacked >= 3:
+        if pair_counts(stacked, config.pos, config.neg)[1] >= 1:
             graph = build_global_graph(hs, positions=batch.view_positions)
             pairs = select_pairs(graph, config.pos, config.neg)
             ggc = ggc_loss(graph, pairs, config.tau,
                            config.include_positive_in_denominator)
         else:
-            logger.warning("epoch %d batch %d: %d stacked features, "
-                           "global term skipped", epoch, bi, stacked)
+            logger.warning("epoch %d batch %d: %d stacked features leave "
+                           "no negative, global term skipped", epoch, bi,
+                           stacked)
     if joint and config.beta > 0:
         hs = [f.contrast for f in feats]
         co = {(u, v): batch.co_available(u, v)
@@ -207,13 +213,10 @@ def _run_phase(model, dataset, config, history, phase):
                 e == 1 or e == cfg.epochs or e % cfg.eval_every == 0)
             if checkpoint and dataset.labels is not None:
                 eval_start = time.perf_counter()
-                fused = fuse_features(model, dataset, space=cfg.fuse_space)
-                pred = kmeans(fused, dataset.n_classes,
-                              runs=cfg.kmeans_restarts,
-                              seed=derive_seed(cfg.seed, "curve", e))
-                record.acc = accuracy(pred, dataset.labels)
-                record.nmi = nmi(pred, dataset.labels)
-                record.ari = ari(pred, dataset.labels)
+                report = evaluate(model, dataset, cfg,
+                                  seeds=[derive_seed(cfg.seed, "curve", e)])
+                record.acc, record.nmi, record.ari = (
+                    report.accs[0], report.nmis[0], report.aris[0])
                 record.eval_seconds = time.perf_counter() - eval_start
             record.seconds = time.perf_counter() - start
             if history is not None:
@@ -230,8 +233,8 @@ def train(model, dataset, config, history=None):
     """Joint optimization of the full objective.
 
     Returns ``(model, history)``.  When ``eval_every`` is set (and the
-    dataset is labeled), clustering metrics are recorded at the first,
-    every k-th, and the final joint epoch.
+    dataset is labeled), :func:`evaluate` scores the model with one
+    k-means seed at the first, every k-th, and the final joint epoch.
     """
     history = history if history is not None else TrainHistory()
     _run_phase(model, dataset, config, history, "train")
@@ -376,6 +379,13 @@ class ClusterReport:
     accs: list
     nmis: list
     aris: list
+
+    def extend(self, other):
+        """Append the runs of ``other``, another report, after these."""
+        self.seeds += other.seeds
+        self.accs += other.accs
+        self.nmis += other.nmis
+        self.aris += other.aris
 
     def _stat(self, values):
         arr = np.asarray(values, dtype=np.float64)

@@ -1,9 +1,11 @@
 """Command line: config resolution, artifacts, determinism and exit codes."""
 
 import json
+import logging
 import os
 import subprocess
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +15,7 @@ import glc
 from glc import cli
 from glc.cli import (DEFAULTS, config_hash, exit_code, load_config, main,
                      parse_synthetic_spec, resolved_cell_config, run_cell)
+from glc.config import Config
 from glc.data import load_dataset, make_synthetic, save_dataset
 from glc.errors import (ConfigError, DataFormatError, NumericError,
                         ShapeError, TrainingAborted)
@@ -257,6 +260,30 @@ def test_prepare_rerun_identical(tmp_path):
         assert f.read_bytes() == (out2 / f.name).read_bytes(), f.name
 
 
+def test_prepare_clean_keeps_mask_and_noise_flags(tmp_path, fast_cfg):
+    src, copy = tmp_path / "src", tmp_path / "copy"
+    assert main(["prepare", "--dataset", SPEC, "--setting", "combined",
+                 "--rate", "0.3", "--seed", "5", "--out", str(src)]) == 0
+    assert main(["prepare", "--dataset", str(src), "--setting", "clean",
+                 "--out", str(copy)]) == 0
+    source, clean = load_dataset(src), load_dataset(copy)
+    assert (source.mask == 0).any() and source.noise_flags.any()
+    np.testing.assert_array_equal(clean.mask, source.mask)
+    np.testing.assert_array_equal(clean.noise_flags, source.noise_flags)
+    assert sorted(f.name for f in copy.iterdir()) == sorted(
+        f.name for f in src.iterdir())
+    for f in src.iterdir():
+        assert (copy / f.name).read_bytes() == f.read_bytes(), f.name
+    checkpoints = []
+    for data in (src, copy):
+        out = tmp_path / f"run_{data.name}"
+        assert main(["train", "--dataset", str(data), "--profile", "desk",
+                     "--seed", "5", "--config", fast_cfg,
+                     "--out", str(out)]) == 0
+        checkpoints.append((out / "checkpoint.npz").read_bytes())
+    assert checkpoints[0] == checkpoints[1]
+
+
 def test_prepare_then_train_on_materialized(tmp_path, fast_cfg):
     prep = tmp_path / "prep"
     assert main(["prepare", "--dataset", SPEC, "--setting", "noise",
@@ -458,6 +485,47 @@ def test_ablate_rows_share_data_and_batches(tmp_path, fast_cfg):
         hist = (out / "cells" / f"incomplete_0.3_{row}" / "history.csv")
         first_lines[row] = hist.read_text().strip().split("\n")[1]
     assert first_lines["rec"] == first_lines["rec+ggc"] == first_lines["full"]
+
+
+def test_report_echoes_the_resolved_config(tmp_path, fast_cfg, capsys):
+    # the profile's widths left implicit or written out are one run
+    widths = {"hidden": [64, 64], "latent_dim": 32, "head_dim": 16}
+    fast = json.loads(Path(fast_cfg).read_text())
+    runs = []
+    for name, extra in (("implicit", {}), ("explicit", widths)):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(fast | extra))
+        out = tmp_path / name
+        assert main(_train_args(out, str(path))) == 0
+        printed = json.loads(capsys.readouterr().out.splitlines()[0])
+        report = json.loads((out / "report.json").read_text())
+        assert printed == report["config"]
+        runs.append((report, (out / "checkpoint.npz").read_bytes()))
+    (implicit, ckpt_a), (explicit, ckpt_b) = runs
+    assert ckpt_a == ckpt_b
+    assert implicit["config_hash"] == explicit["config_hash"]
+    assert {k: implicit["config"][k] for k in widths} == widths
+    resolved = asdict(Config.from_dict(
+        fast | {"dataset": SPEC, "profile": "desk", "seed": 5,
+                "out": str(tmp_path / "implicit")}).resolved())
+    for key in ("rates", "settings", "ablations"):
+        del resolved[key]
+    assert implicit["config"] == json.loads(json.dumps(resolved))
+
+
+def test_train_skips_the_global_term_when_a_batch_leaves_no_negative(
+        tmp_path, caplog):
+    # 259 samples in batches of 258: the last batch stacks 3 feature rows,
+    # and 60% of their 2 candidates are both of them
+    path = tmp_path / "one.json"
+    path.write_text(json.dumps({"pretrain_epochs": 0, "epochs": 1}))
+    with caplog.at_level(logging.WARNING, logger="glc.pipeline"):
+        assert main(["train", "--dataset",
+                     "synthetic:n=259,v=3,k=7,dims=4|4|4", "--profile",
+                     "desk", "--pos", "60", "--neg", "40", "--batch", "258",
+                     "--config", str(path),
+                     "--out", str(tmp_path / "run")]) == 0
+    assert "3 stacked features leave no negative" in caplog.text
 
 
 def test_cell_config_round_trip():

@@ -15,7 +15,7 @@ from glc.errors import ConfigError, NumericError, ShapeError
 from glc.graphs import (GlobalAffinityGraph, PairSets, build_global_graph,
                         ggc_loss, high_order_diag, high_order_graph,
                         local_affinity, lwc_loss, lwc_total, median_sigma,
-                        pairwise_contrastive_loss, select_pairs)
+                        pair_counts, pairwise_contrastive_loss, select_pairs)
 from glc.nn import Tape, Tensor, backward, grad_check, take_rows
 from reference_chain import reference_ggc as _reference_ggc
 from reference_chain import reference_pairwise
@@ -288,6 +288,24 @@ def test_select_validates_percentages():
         select_pairs(g, 0.0, 50.0)
     with pytest.raises(ConfigError):
         select_pairs(g, 60.0, 50.0)
+
+
+@pytest.mark.parametrize("pos_pct, neg_pct",
+                         [(1, 50), (50, 50), (60, 40), (99, 1)])
+def test_pair_counts_match_selection_and_its_failures(pos_pct, neg_pct):
+    # the training step skips the global term by this rule, so it must
+    # name exactly the graphs on which selection raises
+    rng = np.random.default_rng(3)
+    for n in range(1, 41):
+        n_pos, n_neg = pair_counts(n, pos_pct, neg_pct)
+        g = _graph_from_features(rng.normal(size=(n, 3)))
+        if n_neg < 1:
+            with pytest.raises(ConfigError, match="no negative candidates"):
+                select_pairs(g, pos_pct, neg_pct)
+            continue
+        pairs = select_pairs(g, pos_pct, neg_pct)
+        assert pairs.positives.shape == (n, n_pos), n
+        assert pairs.negatives.shape == (n, n_neg), n
 
 
 # ---------------------------------------------------------------------------
