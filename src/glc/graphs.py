@@ -30,6 +30,7 @@ select, never through set membership itself.
 import logging
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -150,13 +151,17 @@ def pair_counts(n, pos_percent, neg_percent):
 
     Each anchor has ``N - 1`` candidates: ``n_pos = ceil(pos% * (N - 1))``
     and ``n_neg = min(ceil(neg% * (N - 1)), N - 1 - n_pos)``, so the two
-    sets never overlap.  ``n_neg < 1`` means the graph is too small for
-    the global term.
+    sets never overlap.  A percentage counts as the decimal it prints as,
+    exactly: 4.4% of 750 is 33, not the 34 that float rounding gives.
+    ``n_neg < 1`` means the graph is too small for the global term.
     """
     candidates = n - 1
-    n_pos = math.ceil(pos_percent * candidates / 100.0)
-    return n_pos, min(math.ceil(neg_percent * candidates / 100.0),
-                      candidates - n_pos)
+
+    def share(percent):
+        return math.ceil(Fraction(repr(float(percent))) * candidates / 100)
+
+    n_pos = share(pos_percent)
+    return n_pos, min(share(neg_percent), candidates - n_pos)
 
 
 def select_pairs(graph, pos_percent, neg_percent):
@@ -223,14 +228,14 @@ def ggc_loss(graph, pairs, temperature, include_positive_in_denominator=False):
 
     Both variants record one tape node, :func:`glc.nn.pair_contrast`, whose
     closed-form VJP writes the gradient of every selected entry into one
-    N x N buffer for ``graph.sims``; value and gradient are byte-equal to
-    the chain of gathers, log-sum-exp and sums it replaces.  The pair sets
-    are constants: selection carries no gradient.
+    N x N buffer for ``graph.sims``.  By default value and gradient are
+    byte-equal to the chain of gathers, log-sum-exp and sums it replaces;
+    with the flag they equal it within rounding.  Pair sets with the wrong
+    row count are a ShapeError.  The pair sets are constants: selection
+    carries no gradient.
     """
     if temperature <= 0.0:
         raise ConfigError("temperature must be positive")
-    if pairs.positives.shape[0] != graph.size:
-        raise ShapeError("pair sets do not match the graph")
     if pairs.negatives.shape[1] < 1:
         raise ConfigError("anchors with positives need at least one negative")
     return nn.pair_contrast(graph.sims, pairs.positives, pairs.negatives,

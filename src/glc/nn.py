@@ -12,7 +12,9 @@ kernel, for the global graph's term and the cross-view term alike: it reads
 each anchor row's positive and negative entries through flat offsets,
 subtracts the row maximum before exponentiating so large
 similarity/temperature ratios cannot overflow, and its VJP writes into one
-buffer of the matrix's shape.
+buffer of the matrix's shape.  By default it is byte-equal to the chain of
+gathers it replaced; with the positive in the denominator, equal within
+rounding.
 
 A tape is meant for a single forward/backward cycle.  ``backward`` detaches
 the watched parameters and every recorded node from the tape afterwards,
@@ -331,17 +333,15 @@ def pair_contrast(a, positives, negatives, scale,
     columns.  Both contrastive terms run through it: the global graph's
     N x N similarities, and a view pair's (n, 2n) block ``[s_uu | s_uv]``.
 
-    The value and the gradient are byte-equal to the chain ``gather_pairs``,
-    ``gather_cols``, ``mul``, ``logsumexp_rows``, ``take_rows``, ``tsum``,
-    ``sub`` (its ops are kept in ``tests/reference_chain.py``): the
-    log-sum-exp runs the same operations, the loss sums in the same order,
-    and the VJP writes each entry it touches once into one float64 buffer
-    of ``a``'s shape, as the sum the chain's scatters form, from +0.0.  A
-    row's denominator gradient is the upstream gradient added k times from
-    0.0, as ``take_rows`` adds it, not ``k * g``.  When the positive joins
-    the denominator each pair has a row of its own: a negative's k entries
-    add in pair order, and a positive's denominator entry comes before its
-    positive term.
+    Each anchor's log-sum-exp over its negatives, ``den_i``, is computed
+    once.  By default value and gradient are byte-equal to the chain
+    ``gather_pairs``, ``gather_cols``, ``mul``, ``logsumexp_rows``,
+    ``take_rows``, ``tsum``, ``sub`` (kept in ``tests/reference_chain.py``):
+    the same operations and summation order, one float64 buffer of ``a``'s
+    shape written from +0.0, and a row's denominator gradient added k times
+    from 0.0, as ``take_rows`` adds it, not ``k * g``.  With the positive in
+    the denominator a pair adds ``logaddexp(den_i, scale * a[i, j]) -
+    scale * a[i, j]``, equal to the chain within rounding, not byte for byte.
     """
     a = _wrap(a)
     x = a.data
@@ -358,22 +358,21 @@ def pair_contrast(a, positives, negatives, scale,
     base = np.arange(n, dtype=np.intp)[:, None] * c
     pos_flat = base + positives
     neg_flat = base + negatives
-    if include_positive_in_denominator:
-        den_flat = np.concatenate([np.repeat(neg_flat, k, axis=0),
-                                   pos_flat.reshape(-1, 1)], axis=1)
-    else:
-        den_flat = neg_flat
     # a masked log-sum-exp's operations, each in place on one array
-    softmax = np.take(x, den_flat)
+    softmax = np.take(x, neg_flat)
     softmax *= scale
     m = softmax.max(axis=1, keepdims=True)
     softmax -= m
     np.exp(softmax, out=softmax)
     s = softmax.sum(axis=1, keepdims=True)
-    den = (m + np.log(s)).reshape(-1)
+    den = m + np.log(s)
     softmax /= s
-    per_pair = den if include_positive_in_denominator else np.repeat(den, k)
-    out = np.sum(per_pair) - np.sum(np.take(x, pos_flat) * scale)
+    pos = np.take(x, pos_flat) * scale
+    if include_positive_in_denominator:
+        per_pair = np.logaddexp(den, pos)
+    else:
+        per_pair = np.repeat(den.reshape(-1), k)
+    out = np.sum(per_pair) - np.sum(pos)
 
     def vjp(g):
         if not a.requires_grad:
@@ -381,19 +380,17 @@ def pair_contrast(a, positives, negatives, scale,
         g = float(g)
         pos_term = (-g) * scale
         if include_positive_in_denominator:
-            rows = ((g * softmax) * scale).reshape(n, k, -1)
-            neg_grad = np.zeros(negatives.shape)
-            for j in range(k):              # pair order, from 0.0
-                neg_grad += rows[:, j, :-1]
-            pos_grad = (rows[:, :, -1] + 0.0) + pos_term
+            q = np.exp(den - per_pair)      # d term/d den_i; d term/d pos: -q
+            g_den = g * q.sum(axis=1, keepdims=True)
+            pos_grad = pos_term * q
         else:
             g_den = 0.0
             for _ in range(k):              # as take_rows sums it, not k * g
                 g_den += g
-            neg_grad = g_den * softmax
-            neg_grad *= scale
-            neg_grad += 0.0
             pos_grad = 0.0 + pos_term
+        neg_grad = g_den * softmax
+        neg_grad *= scale
+        neg_grad += 0.0
         grad = np.zeros(x.shape)
         flat = grad.reshape(-1)
         flat[neg_flat] = neg_grad

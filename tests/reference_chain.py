@@ -4,9 +4,10 @@
 The ops here are the gathers and the masked log-sum-exp those terms were
 built from before; the tests keep them, and the two chains built from
 them, as references: the global term must stay byte-equal to
-:func:`reference_ggc`, and the cross-view term must match
-:func:`reference_pairwise` within 1e-12 relative.  Each op records a node
-on the tape like any ``glc.nn`` op.
+:func:`reference_ggc` (with the positive in the denominator, within 1e-12
+relative), and the cross-view term must match :func:`reference_pairwise`
+within 1e-12 relative.  Each op records a node on the tape like any
+``glc.nn`` op.
 """
 
 import numpy as np

@@ -6,6 +6,7 @@ the oracles can afford naive exponentials.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -308,6 +309,21 @@ def test_pair_counts_match_selection_and_its_failures(pos_pct, neg_pct):
         assert pairs.negatives.shape == (n, n_neg), n
 
 
+def test_pair_counts_follow_the_decimal_percentage():
+    # in floats 4.4 * 750 / 100 is 33.000000000000004, which rounds up to 34
+    assert pair_counts(751, 4.4, 50.0) == (33, 375)
+    assert pair_counts(1001, 0.1, 50.0) == (1, 500)
+
+
+def test_pair_counts_of_whole_percentages_are_the_float_rule():
+    for n in range(1, 1501):
+        c = n - 1
+        for p in range(1, 100):
+            n_pos = math.ceil(p * c / 100.0)
+            n_neg = min(math.ceil((100 - p) * c / 100.0), c - n_pos)
+            assert pair_counts(n, float(p), float(100 - p)) == (n_pos, n_neg)
+
+
 # ---------------------------------------------------------------------------
 # global contrastive loss
 # ---------------------------------------------------------------------------
@@ -430,7 +446,9 @@ def _ggc_bytes(loss_fn, views, tau, include, upstream):
     return out, sims_grad, pairs
 
 
-@pytest.mark.parametrize("include", [False, True])
+# the variant with the positive in the denominator is pinned within
+# rounding by the next test
+@pytest.mark.parametrize("include", [False])
 def test_ggc_is_byte_equal_to_the_gather_chain(include, monkeypatch):
     # 9 or 10 positives per anchor: adding an upstream 0.1 k times from 0.0
     # is not k * 0.1 for k >= 6; at tau = 0.001 some softmax entries
@@ -461,6 +479,63 @@ def test_ggc_is_byte_equal_to_the_gather_chain(include, monkeypatch):
                                    == 0.0).any())
     assert stable, "the tied graph never took the stable-sort path"
     assert underflow, "no softmax entry underflowed"
+
+
+def test_ggc_include_positive_matches_the_gather_chain():
+    # the kernel adds each positive to its anchor's negative log-sum-exp
+    # with logaddexp; the chain runs one log-sum-exp per pair over the
+    # negatives and the positive, so the two agree within rounding
+    rng = np.random.default_rng(40)
+    plain = [rng.normal(size=(110, 6)) for _ in range(3)]
+    tied = rng.normal(size=(300, 5))
+    tied[10:40] = tied[0:30]
+    tied[200:230] = tied[200]
+    for views in (plain, [tied]):
+        for tau in (0.5, 0.001):
+            for upstream in (0.1, -0.1):
+                got, got_sims, _ = _ggc_bytes(ggc_loss, views, tau, True,
+                                              upstream)
+                want, want_sims, _ = _ggc_bytes(_reference_ggc, views, tau,
+                                                True, upstream)
+                atol = 1e-12 * abs(upstream) / tau
+                np.testing.assert_allclose(np.frombuffer(got[0]),
+                                           np.frombuffer(want[0]),
+                                           rtol=1e-12, atol=atol)
+                np.testing.assert_allclose(got_sims, want_sims,
+                                           rtol=1e-12, atol=atol)
+
+
+def test_ggc_include_positive_allocates_as_the_default():
+    # the variant reuses each anchor's negative log-sum-exp, so it builds
+    # nothing of N * k rows: a 657-row graph at (1%, 50%), k = 7, m = 328
+    rng = np.random.default_rng(11)
+    g = build_global_graph([Tensor(rng.normal(size=(219, 16)))
+                            for _ in range(3)])
+    pairs = select_pairs(g, 1.0, 50.0)
+    assert pairs.positives.shape == (657, 7)
+    leaf = _manual_graph(g.sims.data)
+
+    def peak(include):
+        tape = Tape()
+        tape.watch(leaf.sims)
+        tracemalloc.start()
+        try:
+            backward(tape, ggc_loss(leaf, pairs, 0.5, include))
+            _, top = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        return top
+
+    assert peak(True) <= 1.1 * peak(False)
+
+
+def test_ggc_rejects_pair_sets_of_another_graph():
+    rng = np.random.default_rng(12)
+    g = _graph_from_features(rng.normal(size=(6, 3)))
+    pairs = select_pairs(_graph_from_features(rng.normal(size=(5, 3))),
+                         25.0, 50.0)
+    with pytest.raises(ShapeError, match="one row per matrix row"):
+        ggc_loss(g, pairs, 0.5)
 
 
 def test_ggc_validates_temperature():
