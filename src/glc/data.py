@@ -183,6 +183,24 @@ def read_manifest(root):
     for key in ("n_views", "n_samples", "views"):
         if key not in manifest:
             raise DataFormatError(f"manifest is missing {key!r}")
+    counts = ["n_views", "n_samples"] + [
+        key for key in ("n_classes", "K") if manifest.get(key) is not None]
+    for key in counts:
+        if type(manifest[key]) is not int:      # not float, str or bool
+            raise DataFormatError(
+                f"manifest {key!r} must be an integer, got {manifest[key]!r}")
+    views = manifest["views"]
+    if not isinstance(views, list) or \
+            not all(isinstance(name, str) for name in views):
+        raise DataFormatError(
+            f"manifest 'views' must be a list of file names, got {views!r}")
+    for key in ("labels", "mask", "noise_flags"):
+        if not isinstance(manifest.get(key, ""), (str, type(None))):
+            raise DataFormatError(
+                f"manifest {key!r} must be a file name, got {manifest[key]!r}")
+    if not isinstance(manifest.get("standardize", True), bool):
+        raise DataFormatError("manifest 'standardize' must be true or false, "
+                              f"got {manifest['standardize']!r}")
     return manifest
 
 
@@ -194,9 +212,9 @@ def load_dataset(path, standardize=None):
     """
     root = Path(path)
     manifest = read_manifest(root)
-    n_views = int(manifest["n_views"])
-    n_samples = int(manifest["n_samples"])
-    names = list(manifest["views"])
+    n_views = manifest["n_views"]
+    n_samples = manifest["n_samples"]
+    names = manifest["views"]
     if len(names) != n_views:
         raise DataFormatError("manifest view list does not match n_views")
 
@@ -233,11 +251,10 @@ def load_dataset(path, standardize=None):
                 "noise_flags shape does not match the manifest")
 
     n_classes = manifest.get("n_classes", manifest.get("K"))
-    dataset = MultiViewDataset(views, mask, labels, noise_flags,
-                               None if n_classes is None else int(n_classes))
+    dataset = MultiViewDataset(views, mask, labels, noise_flags, n_classes)
 
     if standardize is None:
-        standardize = bool(manifest.get("standardize", True))
+        standardize = manifest.get("standardize", True)
     if standardize:
         dataset = standardize_views(dataset)
     return dataset

@@ -67,13 +67,12 @@ class GlobalAffinityGraph:
     can differentiate through the selected entries.
     """
 
-    stack: Tensor        # (N_c, head_dim)
     sims: Tensor         # (N_c, N_c), diagonal pinned to 1
     owners: np.ndarray   # (N_c, 2) int: view id, batch position
 
     @property
     def size(self):
-        return self.stack.data.shape[0]
+        return self.sims.data.shape[0]
 
 
 def build_global_graph(view_features, positions=None):
@@ -102,7 +101,7 @@ def build_global_graph(view_features, positions=None):
     # self-similarity is 1 by definition; the entry never reaches a loss
     # (pair selection excludes the diagonal) so pinning it is gradient-safe
     np.fill_diagonal(sims.data, 1.0)
-    return GlobalAffinityGraph(stack=stack, sims=sims,
+    return GlobalAffinityGraph(sims=sims,
                                owners=np.concatenate(owner_rows, axis=0))
 
 
@@ -116,8 +115,6 @@ class PairSets:
 
     positives: np.ndarray    # (N_c, n_pos)
     negatives: np.ndarray    # (N_c, n_neg)
-    pos_percent: float
-    neg_percent: float
 
     @property
     def anchor_count(self):
@@ -213,9 +210,7 @@ def select_pairs(graph, pos_percent, neg_percent):
         redo = np.flatnonzero(~settled)
         positives[redo], negatives[redo] = _stable_pairs(sims[redo], redo,
                                                          n_pos, n_neg)
-    return PairSets(positives=positives, negatives=negatives,
-                    pos_percent=float(pos_percent),
-                    neg_percent=float(neg_percent))
+    return PairSets(positives=positives, negatives=negatives)
 
 
 def ggc_loss(graph, pairs, temperature, include_positive_in_denominator=False):
@@ -228,11 +223,9 @@ def ggc_loss(graph, pairs, temperature, include_positive_in_denominator=False):
 
     Both variants record one tape node, :func:`glc.nn.pair_contrast`, whose
     closed-form VJP writes the gradient of every selected entry into one
-    N x N buffer for ``graph.sims``.  By default value and gradient are
-    byte-equal to the chain of gathers, log-sum-exp and sums it replaces;
-    with the flag they equal it within rounding.  Pair sets with the wrong
-    row count are a ShapeError.  The pair sets are constants: selection
-    carries no gradient.
+    N x N buffer for ``graph.sims``.  Pair sets with the wrong row count are
+    a ShapeError.  The pair sets are constants: selection carries no
+    gradient.
     """
     if temperature <= 0.0:
         raise ConfigError("temperature must be positive")

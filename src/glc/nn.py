@@ -12,9 +12,9 @@ kernel, for the global graph's term and the cross-view term alike: it reads
 each anchor row's positive and negative entries through flat offsets,
 subtracts the row maximum before exponentiating so large
 similarity/temperature ratios cannot overflow, and its VJP writes into one
-buffer of the matrix's shape.  By default it is byte-equal to the chain of
-gathers it replaced; with the positive in the denominator, equal within
-rounding.
+buffer of the matrix's shape.  It equals the chain of gathers it replaced
+(kept in ``tests/reference_chain.py``) within rounding, for both
+denominators.
 
 A tape is meant for a single forward/backward cycle.  ``backward`` detaches
 the watched parameters and every recorded node from the tape afterwards,
@@ -121,10 +121,6 @@ class Tape:
         param.tape = self
         param.requires_grad = True
         self._watched.append(param)
-
-    @property
-    def watched(self):
-        return list(self._watched)
 
 
 def _wrap(x):
@@ -334,14 +330,15 @@ def pair_contrast(a, positives, negatives, scale,
     N x N similarities, and a view pair's (n, 2n) block ``[s_uu | s_uv]``.
 
     Each anchor's log-sum-exp over its negatives, ``den_i``, is computed
-    once.  By default value and gradient are byte-equal to the chain
+    once.  A pair's denominator term ``t_ij`` is ``den_i``, or with the
+    positive in the denominator ``logaddexp(den_i, scale * a[i, j])``; that
+    choice is the only branch.  The VJP is one for both: with
+    ``q_ij = exp(den_i - t_ij)`` (exactly 1 by default) the anchor's
+    negative softmax is scaled by ``g * sum_j q_ij`` and each positive gets
+    ``-g * scale * q_ij``.  Value and gradient equal the chain
     ``gather_pairs``, ``gather_cols``, ``mul``, ``logsumexp_rows``,
-    ``take_rows``, ``tsum``, ``sub`` (kept in ``tests/reference_chain.py``):
-    the same operations and summation order, one float64 buffer of ``a``'s
-    shape written from +0.0, and a row's denominator gradient added k times
-    from 0.0, as ``take_rows`` adds it, not ``k * g``.  With the positive in
-    the denominator a pair adds ``logaddexp(den_i, scale * a[i, j]) -
-    scale * a[i, j]``, equal to the chain within rounding, not byte for byte.
+    ``take_rows``, ``tsum``, ``sub`` (kept in ``tests/reference_chain.py``)
+    within rounding.
     """
     a = _wrap(a)
     x = a.data
@@ -353,7 +350,6 @@ def pair_contrast(a, positives, negatives, scale,
     if positives.ndim != 2 or negatives.ndim != 2 or \
             positives.shape[0] != n or negatives.shape[0] != n:
         raise ShapeError("partner sets need one row per matrix row")
-    k = positives.shape[1]
     # C-order offsets of the entries read, so each set is one flat take
     base = np.arange(n, dtype=np.intp)[:, None] * c
     pos_flat = base + positives
@@ -371,30 +367,20 @@ def pair_contrast(a, positives, negatives, scale,
     if include_positive_in_denominator:
         per_pair = np.logaddexp(den, pos)
     else:
-        per_pair = np.repeat(den.reshape(-1), k)
+        per_pair = np.broadcast_to(den, pos.shape)
     out = np.sum(per_pair) - np.sum(pos)
 
     def vjp(g):
         if not a.requires_grad:
             return (None,)
         g = float(g)
-        pos_term = (-g) * scale
-        if include_positive_in_denominator:
-            q = np.exp(den - per_pair)      # d term/d den_i; d term/d pos: -q
-            g_den = g * q.sum(axis=1, keepdims=True)
-            pos_grad = pos_term * q
-        else:
-            g_den = 0.0
-            for _ in range(k):              # as take_rows sums it, not k * g
-                g_den += g
-            pos_grad = 0.0 + pos_term
-        neg_grad = g_den * softmax
+        q = np.exp(den - per_pair)      # d term/d den_i; d term/d pos: -q
+        neg_grad = (g * q.sum(axis=1, keepdims=True)) * softmax
         neg_grad *= scale
-        neg_grad += 0.0
         grad = np.zeros(x.shape)
         flat = grad.reshape(-1)
         flat[neg_flat] = neg_grad
-        flat[pos_flat] = pos_grad
+        flat[pos_flat] = ((-g) * scale) * q
         return (grad,)
 
     return _attach(out, (a,), vjp)

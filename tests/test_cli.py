@@ -193,11 +193,18 @@ def test_prepare_clean_copies_bytes(tmp_path):
 def test_malformed_manifest_is_an_io_error(tmp_path, fast_cfg):
     src = tmp_path / "src"
     save_dataset(make_synthetic(12, 2, 2, dims=3, seed=1), src)
-    (src / "manifest.json").write_text("{not json", encoding="utf-8")
-    assert main(["prepare", "--dataset", str(src), "--setting", "clean",
-                 "--out", str(tmp_path / "clean")]) == 2
-    assert main(["train", "--dataset", str(src), "--profile", "desk",
-                 "--config", fast_cfg, "--out", str(tmp_path / "run")]) == 2
+    valid = json.loads((src / "manifest.json").read_text())
+    texts = ["{not json"] + [json.dumps({**valid, **change}) for change in (
+        {"n_views": "two"}, {"n_classes": "x"}, {"views": 5},
+        {"n_samples": 12.0}, {"n_views": True}, {"views": ["view_0.csv", 1]},
+        {"labels": 3}, {"mask": ["mask.csv"]}, {"standardize": "false"})]
+    for text in texts:
+        (src / "manifest.json").write_text(text, encoding="utf-8")
+        assert main(["prepare", "--dataset", str(src), "--setting", "clean",
+                     "--out", str(tmp_path / "clean")]) == 2, text
+        assert main(["train", "--dataset", str(src), "--profile", "desk",
+                     "--config", fast_cfg,
+                     "--out", str(tmp_path / "run")]) == 2, text
 
 
 def test_bad_noise_flags_exit_2_from_train_and_a_sweep_cell(tmp_path,
@@ -440,6 +447,43 @@ def test_sweep_cells_reproducible(tmp_path, fast_cfg):
     for ca, cb in zip(a["cells"], b["cells"]):
         assert ca["config_hash"] == cb["config_hash"]
         assert ca["results"] == cb["results"]
+
+
+def test_parallel_sweep_equals_the_serial_one(tmp_path, fast_cfg,
+                                              monkeypatch):
+    pools = []
+
+    class Pool(cli.ProcessPoolExecutor):
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+            super().__init__(max_workers=max_workers)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", Pool)
+    args = ["sweep", "--dataset", SPEC, "--profile", "desk", "--seed", "9",
+            "--config", fast_cfg, "--setting", "noise", "--rates", "0.3,0.7"]
+    runs = {}
+    for threads in ("1", "2"):
+        monkeypatch.setenv("GLC_THREADS", threads)
+        runs[threads] = tmp_path / f"t{threads}"
+        assert main(args + ["--out", str(runs[threads])]) == 0
+    assert pools == [2]
+
+    def report(path):
+        result = json.loads(path.read_text())
+        del result["wall_time_s"], result["config"]["out"]
+        return result
+
+    cells = sorted(p.name for p in (runs["1"] / "cells").iterdir())
+    assert len(cells) == 2
+    assert sorted(p.name for p in (runs["2"] / "cells").iterdir()) == cells
+    for cell in cells:
+        serial = runs["1"] / "cells" / cell
+        parallel = runs["2"] / "cells" / cell
+        assert report(parallel / "report.json") == \
+            report(serial / "report.json")
+        for name in ("history.csv", "checkpoint.npz"):
+            assert (parallel / name).read_bytes() == \
+                (serial / name).read_bytes()
 
 
 # ---------------------------------------------------------------------------

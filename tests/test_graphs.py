@@ -91,8 +91,7 @@ def _manual_graph(sims):
     sims = np.asarray(sims, dtype=np.float64)
     n = sims.shape[0]
     owners = np.column_stack([np.zeros(n, dtype=np.intp), np.arange(n)])
-    return GlobalAffinityGraph(stack=Tensor(np.zeros((n, 1))),
-                               sims=Tensor(sims), owners=owners)
+    return GlobalAffinityGraph(sims=Tensor(sims), owners=owners)
 
 
 # ---------------------------------------------------------------------------
@@ -422,11 +421,11 @@ def test_ggc_records_one_tape_node(include):
     assert tape._nodes[-1] is loss and loss._parents == (g.sims,)
 
 
-def _ggc_bytes(loss_fn, views, tau, include, upstream):
-    """Loss and feature-gradient bytes, and the gradient of ``sims`` itself.
+def _ggc_values(loss_fn, views, tau, include, upstream):
+    """Loss and feature gradients, and the gradient of ``sims`` itself.
 
-    The similarity matrix is differentiated as a watched leaf of its own:
-    behind the graph's matmul a -0.0 entry would be absorbed.
+    The similarity matrix is differentiated as a watched leaf of its own,
+    so its gradient is compared before the graph's matmul mixes it.
     """
     tape = Tape()
     feats = [Tensor(x.copy()) for x in views]
@@ -436,7 +435,7 @@ def _ggc_bytes(loss_fn, views, tau, include, upstream):
     pairs = select_pairs(g, 3.0, 50.0)
     loss = nn.mul(loss_fn(g, pairs, tau, include), upstream)
     grads = backward(tape, loss)
-    out = [loss.data.tobytes()] + [grads[t].tobytes() for t in feats]
+    out = [loss.data] + [grads[t] for t in feats]
 
     leaf = _manual_graph(g.sims.data.copy())
     tape = Tape()
@@ -446,14 +445,13 @@ def _ggc_bytes(loss_fn, views, tau, include, upstream):
     return out, sims_grad, pairs
 
 
-# the variant with the positive in the denominator is pinned within
-# rounding by the next test
-@pytest.mark.parametrize("include", [False])
-def test_ggc_is_byte_equal_to_the_gather_chain(include, monkeypatch):
-    # 9 or 10 positives per anchor: adding an upstream 0.1 k times from 0.0
-    # is not k * 0.1 for k >= 6; at tau = 0.001 some softmax entries
-    # underflow to 0, so the -0.1 case makes -0.0 gradients that the +0.0
-    # base must turn to +0.0
+@pytest.mark.parametrize("include", [False, True])
+def test_ggc_matches_the_gather_chain(include, monkeypatch):
+    # the kernel takes each anchor's negative log-sum-exp once and adds a
+    # positive to it with logaddexp; the chain runs a log-sum-exp per pair,
+    # so the two agree within rounding.  9 or 10 positives per anchor: the
+    # chain adds an upstream 0.1 k times from 0.0, the kernel takes
+    # k * 0.1; at tau = 0.001 some softmax entries underflow to 0
     rng = np.random.default_rng(40)
     plain = [rng.normal(size=(110, 6)) for _ in range(3)]
     tied = rng.normal(size=(300, 5))
@@ -467,42 +465,21 @@ def test_ggc_is_byte_equal_to_the_gather_chain(include, monkeypatch):
     for views in (plain, [tied]):
         for tau in (0.5, 0.001):
             for upstream in (0.1, -0.1):
-                got, got_sims, _ = _ggc_bytes(ggc_loss, views, tau, include,
-                                              upstream)
-                want, want_sims, pairs = _ggc_bytes(_reference_ggc, views,
-                                                    tau, include, upstream)
+                got, got_sims, _ = _ggc_values(ggc_loss, views, tau, include,
+                                               upstream)
+                want, want_sims, pairs = _ggc_values(_reference_ggc, views,
+                                                     tau, include, upstream)
                 assert pairs.positives.shape[1] >= 6
-                assert got == want
-                assert got_sims.tobytes() == want_sims.tobytes()
+                atol = 1e-12 * abs(upstream) / tau
+                for g, w in zip(got, want):
+                    np.testing.assert_allclose(g, w, rtol=1e-12, atol=atol)
+                np.testing.assert_allclose(got_sims, want_sims,
+                                           rtol=1e-12, atol=atol)
                 rows = np.arange(pairs.anchor_count)[:, None]
                 underflow |= bool((want_sims[rows, pairs.negatives]
                                    == 0.0).any())
     assert stable, "the tied graph never took the stable-sort path"
     assert underflow, "no softmax entry underflowed"
-
-
-def test_ggc_include_positive_matches_the_gather_chain():
-    # the kernel adds each positive to its anchor's negative log-sum-exp
-    # with logaddexp; the chain runs one log-sum-exp per pair over the
-    # negatives and the positive, so the two agree within rounding
-    rng = np.random.default_rng(40)
-    plain = [rng.normal(size=(110, 6)) for _ in range(3)]
-    tied = rng.normal(size=(300, 5))
-    tied[10:40] = tied[0:30]
-    tied[200:230] = tied[200]
-    for views in (plain, [tied]):
-        for tau in (0.5, 0.001):
-            for upstream in (0.1, -0.1):
-                got, got_sims, _ = _ggc_bytes(ggc_loss, views, tau, True,
-                                              upstream)
-                want, want_sims, _ = _ggc_bytes(_reference_ggc, views, tau,
-                                                True, upstream)
-                atol = 1e-12 * abs(upstream) / tau
-                np.testing.assert_allclose(np.frombuffer(got[0]),
-                                           np.frombuffer(want[0]),
-                                           rtol=1e-12, atol=atol)
-                np.testing.assert_allclose(got_sims, want_sims,
-                                           rtol=1e-12, atol=atol)
 
 
 def test_ggc_include_positive_allocates_as_the_default():
