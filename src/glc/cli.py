@@ -15,11 +15,12 @@ SHA-256 of (master seed, setting, rate), so adding cells never reshuffles
 existing ones and any cell can be reproduced in isolation.
 
 ``GLC_THREADS`` caps how many sweep cells run in parallel processes (a
-positive integer; default 1, serial); each cell's training may keep one
-more thread busy with Adam updates (the one-worker executor of
-:func:`glc.nn.adam_helper`).  Exit codes, the same for a whole run and
-for each sweep cell (:func:`exit_code`): 0 success, 1 configuration
-error, 2 I/O or data-format error, 3 numerical abort during training.
+positive integer; default 1, serial); a model with a parameter over 65,536
+elements trains on one thread per view, so N cells keep up to N x views
+threads busy, plus BLAS's own (``OPENBLAS_NUM_THREADS`` above 1
+oversubscribes the cores).  Exit codes, the same for a whole run and for
+each sweep cell (:func:`exit_code`): 0 success, 1 configuration error, 2
+I/O or data-format error, 3 numerical abort during training.
 """
 
 import argparse
@@ -202,6 +203,9 @@ def run_cell(cfg, setting, rate, ablation, out_dir=None):
     tcfg = replace(cfg, alpha=cfg.alpha if ablation != "rec" else 0.0,
                    beta=cfg.beta if ablation == "full" else 0.0,
                    seed=derive_seed(cfg.seed, "trainer", setting, f"{rate:.6f}"))
+    out = None if out_dir is None else Path(out_dir)
+    if out is not None:     # an unwritable one fails now, not after training
+        out.mkdir(parents=True, exist_ok=True)
 
     if cfg.eval_protocol == "retrain":
         report = ClusterReport(seeds=[], accs=[], nmis=[], aris=[])
@@ -231,9 +235,7 @@ def run_cell(cfg, setting, rate, ablation, out_dir=None):
         },
         "wall_time_s": time.perf_counter() - started,
     }
-    if out_dir is not None:
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
+    if out is not None:
         history.write_csv(out / "history.csv")
         # wall times vary run to run, so they stay out of the reproducible
         # history.csv and report.json

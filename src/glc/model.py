@@ -15,7 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataFormatError, ShapeError
-from .nn import Layer, Mlp, Tensor, mlp_forward, mul, sub, tsum
+from .nn import (Layer, Mlp, Tensor, mlp_forward, mul, record_segments, sub,
+                 tsum)
 
 CHECKPOINT_VERSION = 1
 
@@ -96,18 +97,20 @@ def model_parameters(model):
 def forward_views(model, batch, tape=None):
     """Encode, project and reconstruct each view's available rows.
 
-    Views with no available samples in the batch yield empty (0-row)
-    feature blocks and contribute nothing downstream.
+    Each view records on a tape segment of its own, so on a tape with a
+    pool the views run at once.  Views with no available samples yield
+    empty (0-row) feature blocks and contribute nothing downstream.
     """
     if len(model) != len(batch.view_data):
         raise ShapeError("model and batch disagree on the number of views")
-    features = []
-    for view, x in zip(model, batch.view_data):
-        z = mlp_forward(view.encoder, x, tape)
-        h = mlp_forward(view.head, z, tape)
-        x_hat = mlp_forward(view.decoder, z, tape)
-        features.append(ViewFeatures(latent=z, contrast=h, recon=x_hat))
-    return features
+    return record_segments(tape, _forward_view, zip(model, batch.view_data))
+
+
+def _forward_view(view, x, tape):
+    z = mlp_forward(view.encoder, x, tape)
+    h = mlp_forward(view.head, z, tape)
+    x_hat = mlp_forward(view.decoder, z, tape)
+    return ViewFeatures(latent=z, contrast=h, recon=x_hat)
 
 
 def reconstruction_loss(features, batch):

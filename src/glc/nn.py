@@ -23,25 +23,34 @@ training-step pattern) never leaks nodes, a step's activations are freed by
 reference counting as soon as the step drops them, and forward passes
 without a tape record nothing.
 
+A tape can hold segments (:func:`record_segments`): sub-computations that
+share no parameter, each recorded on a tape of its own and appended in
+order, so the tape reads as if they had run one after another.
+``backward`` sweeps the nodes after them first, then each segment on its
+own, so every gradient sum happens in the same order as one sweep would
+make it.  Given a tape built on an executor (:func:`segment_pool`), the
+segments' forward passes and sweeps run on its workers, one task per
+segment; numpy's BLAS and elementwise loops release the GIL, so they
+overlap.  ``segment_pool`` builds its executor only when some parameter
+has more than ``_BLOCK`` (65,536) elements; smaller models start no
+thread.  Results are bit-identical either way, on any number of cores.
+
 Matrix products go through numpy's BLAS.  Those kernels are deterministic
 for a fixed environment and BLAS thread count; the thread count comes from
 the BLAS library's own variables (``OPENBLAS_NUM_THREADS``,
 ``OMP_NUM_THREADS``, ...), exported before numpy is loaded; nothing here
 sets it.  ``GLC_THREADS`` does not touch it either: it only sets how many
-sweep cells the command line runs in parallel processes.
-
-Training uses one helper thread of its own (:func:`adam_helper`, a
-one-worker ``concurrent.futures`` executor): each parameter of more than
-``_BLOCK`` elements gets its Adam update there as soon as ``backward`` has
-its final gradient, while the calling thread finishes the reverse sweep.
-Adam is elementwise and independent per parameter, so results stay
-bit-identical to the sequential update.  With ``GLC_THREADS=N`` up to 2N
-threads can be busy, plus BLAS's own.
+sweep cells the command line runs in parallel processes.  Training gives
+each view a segment, so a run with a parameter over ``_BLOCK`` starts one
+worker per view, and ``GLC_THREADS=N`` can keep up to N x views threads
+busy, plus BLAS's own; with the views already running at once, setting
+``OPENBLAS_NUM_THREADS`` above 1 oversubscribes the cores.
 """
 
+import contextvars
 import math
 from concurrent.futures import ThreadPoolExecutor, wait
-from contextlib import contextmanager
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -106,11 +115,14 @@ class Tensor:
 
 
 class Tape:
-    """Ordered record of the primitive operations of one forward pass."""
+    """Ordered record of the primitive operations of one forward pass;
+    ``pool`` (from :func:`segment_pool`) runs its segments."""
 
-    def __init__(self):
+    def __init__(self, pool=None):
         self._nodes = []
         self._watched = []
+        self._segments = []
+        self._pool = pool
 
     def watch(self, param):
         """Register ``param`` so ``backward`` reports its gradient."""
@@ -387,22 +399,73 @@ def pair_contrast(a, positives, negatives, scale,
 
 
 # ---------------------------------------------------------------------------
-# backward
+# segments and backward
 # ---------------------------------------------------------------------------
 
-def _earliest_consumers(tape):
-    """Node index -> the watched parameters it is the earliest consumer of."""
-    unseen = {id(p): p for p in tape._watched}
-    at = {}
-    for k, node in enumerate(tape._nodes):
-        for parent in node._parents:
-            param = unseen.pop(id(parent), None)
-            if param is not None:
-                at.setdefault(k, []).append(param)
-    return at
+def _each(pool, fn, args):
+    """``[fn(*a) for a in args]``, each call a task on ``pool`` if given.
+
+    ``args`` is drawn on the calling thread.  A task runs in a copy of the
+    caller's context, so ``np.errstate`` holds there too, and every task
+    ends before the first error among them is raised.
+    """
+    if pool is None:
+        return [fn(*a) for a in args]
+    futures = [pool.submit(contextvars.copy_context().run, fn, *a)
+               for a in args]
+    wait(futures)
+    return [future.result() for future in futures]
 
 
-def backward(tape, loss, hand_off=None):
+def record_segments(tape, fn, args):
+    """``[fn(*a, segment_tape) for a in args]``, each call a segment.
+
+    Without a tape each call gets ``None``.  With one, each call records on
+    a fresh tape, as a task on the tape's pool if it has one, and the
+    segments' nodes and watched parameters are then appended to ``tape``
+    in order, as if recorded there one after another.  Segments come
+    before any other node and share no parameter, so :func:`backward` can
+    sweep each on its own; a parameter watched earlier moves to its
+    segment.  ``tape._segments`` holds their slices of ``_nodes`` and
+    ``_watched``.
+    """
+    if tape is None:
+        return [fn(*a, None) for a in args]
+    if tape._nodes or tape._segments:
+        raise ValueError("segments must come before any other node")
+    args = list(args)
+    subs = [Tape() for _ in args]
+    results = _each(tape._pool, lambda a, sub: fn(*a, sub), zip(args, subs))
+    earlier, tape._watched = tape._watched, []
+    for sub in subs:
+        nodes, watched = len(tape._nodes), len(tape._watched)
+        for t in sub._nodes + sub._watched:
+            t.tape = tape
+        tape._nodes += sub._nodes
+        tape._watched += sub._watched
+        tape._segments.append((slice(nodes, len(tape._nodes)),
+                               slice(watched, len(tape._watched))))
+    owned = set(map(id, tape._watched))
+    if len(owned) != len(tape._watched):
+        raise ValueError("segments share a parameter")
+    tape._watched += [p for p in earlier if id(p) not in owned]
+    return results
+
+
+def _sweep(nodes, grads):
+    """Pull ``grads`` (keyed by tensor id) back through ``nodes``."""
+    for node in reversed(nodes):
+        g = grads.pop(id(node), None)
+        if g is None:
+            continue
+        for parent, pg in zip(node._parents, node._vjp(g)):
+            if pg is None:
+                continue
+            held = grads.get(id(parent))
+            grads[id(parent)] = pg if held is None else held + pg
+
+
+def backward(tape, loss, updates=None):
     """Accumulate d(loss)/d(param) for every watched parameter.
 
     Returns a dict keyed by the parameter tensors; parameters that do not
@@ -410,52 +473,54 @@ def backward(tape, loss, hand_off=None):
     and recorded nodes are released afterwards, so subsequent tape-less
     forward passes record nothing.
 
-    With ``hand_off``, each watched parameter's gradient is also passed to
-    ``hand_off(param, grad)``, on the calling thread, as soon as it is
-    final: right after the sweep passes the parameter's earliest consumer
-    on the tape, since no node recorded before that one can reach the
-    parameter or anything computed from it.  A parameter that nothing
-    consumes is passed at the end.  ``grad`` is the array the dict holds;
-    the sweep never writes into a gradient once made.
+    The nodes after the tape's segments are swept first, on the calling
+    thread; the gradients they pass into a segment are then final.  Each
+    segment is then swept in its own reverse order, as a task on the tape's
+    pool if it has one, so every sum happens in the order of one sweep
+    over the whole tape.  With ``updates``, ``updates[k](grads)`` gets
+    segment k's gradients in the same task, right after its sweep, and the
+    result leaves them out, so they are freed once the update is done.
     """
     if not isinstance(loss, Tensor) or loss.tape is not tape:
         raise ValueError("loss was not computed on this tape")
     if loss.data.size != 1:
         raise ShapeError("loss must be a scalar")
 
-    def final(param):
+    def final(grads, param):
         g = grads.get(id(param))
         return np.zeros_like(param.data) if g is None else np.asarray(g)
 
-    nodes = tape._nodes
-    final_at = _earliest_consumers(tape) if hand_off is not None else {}
-    handed = {}
+    nodes, watched, segments = tape._nodes, tape._watched, tape._segments
+    top = segments[-1] if segments else (slice(0), slice(0))
     grads = {id(loss): np.ones_like(loss.data)}
-    for k in range(len(nodes) - 1, -1, -1):
-        node = nodes[k]
-        g = grads.pop(id(node), None)
-        if g is not None:
-            for parent, pg in zip(node._parents, node._vjp(g)):
-                if pg is None:
-                    continue
-                held = grads.get(id(parent))
-                grads[id(parent)] = pg if held is None else held + pg
-        for param in final_at.get(k, ()):
-            handed[param] = final(param)
-            hand_off(param, handed[param])
+    _sweep(nodes[top[0].stop:], grads)
+
+    def shares():
+        # each segment's part of what the top sweep left; a task owns its
+        # part, and it is dropped when the task ends
+        for k, (node_slice, param_slice) in enumerate(segments):
+            keys = map(id, nodes[node_slice] + watched[param_slice])
+            yield k, {key: grads.pop(key) for key in keys if key in grads}
+
+    def sweep_segment(k, own):
+        node_slice, param_slice = segments[k]
+        _sweep(nodes[node_slice], own)
+        got = {param: final(own, param) for param in watched[param_slice]}
+        if updates is None:
+            return got
+        updates[k](got)
+        return {}
 
     result = {}
-    for param in tape._watched:
-        if param in handed:
-            result[param] = handed[param]
-        else:
-            result[param] = final(param)
-            if hand_off is not None:
-                hand_off(param, result[param])
+    for got in _each(tape._pool, sweep_segment, shares()):
+        result.update(got)
+    for param in watched[top[1].stop:]:
+        result[param] = final(grads, param)
+    for param in watched:
         param.tape = None
     # nodes point back at the tape that lists them; cutting that link lets
     # reference counting free the step, without waiting for the cyclic GC
-    for node in tape._nodes:
+    for node in nodes:
         node.tape = None
     return result
 
@@ -550,9 +615,10 @@ def mlp_forward(net, x, tape=None):
 # A parameter larger than this many elements is updated in blocks of whole
 # rows of about this size, so a block's gradient copy and temporaries stay in
 # cache between the update's passes.  Over the paper profile's parameters on
-# a 2-vCPU Xeon VM, 16K to 64K were equally fast, 4K 30% and 256K 10%
-# slower; the smallest of the fastest keeps the scratch small.
-_BLOCK = 16384
+# a 2-vCPU Xeon VM, one thread ran 16K to 64K equally fast, 4K 30% and 256K
+# 10% slower; three views' updates on their workers at once, with fewer
+# numpy calls contending for the GIL, ran in 98 ms at 64K, 136 ms at 16K.
+_BLOCK = 65536
 
 
 def _block_plan(shapes):
@@ -586,9 +652,8 @@ class AdamState:
 
     ``_blocks`` holds, per parameter, the blocks :func:`adam_step` walks and
     their views of one block-sized scratch buffer; the first step builds it
-    and every later step reuses it.  ``_handed`` maps the index of each
-    parameter handed off since the last step (inside :func:`adam_helper`)
-    to ``(param, future)`` of its update.
+    and every later step reuses it.  States that update at the same time
+    need a scratch buffer each, so each needs a state of its own.
     """
 
     learning_rate: float = 1e-3
@@ -599,8 +664,6 @@ class AdamState:
     first_moment: list = field(default_factory=list)
     second_moment: list = field(default_factory=list)
     _blocks: list = field(default=None, init=False, repr=False, compare=False)
-    _handed: dict = field(default_factory=dict, init=False, repr=False,
-                          compare=False)
 
     @classmethod
     def for_params(cls, params, learning_rate=1e-3, beta1=0.9, beta2=0.999,
@@ -637,8 +700,10 @@ def _update_param(state, bias1, bias2, p, m, v, g, blocks):
     """Walk one parameter's ``blocks`` (from :func:`_block_plan`) through
     :func:`_adam_update`.
 
-    A gradient block that is not C-contiguous is first copied into the
-    block's scratch: it is then read once, and no pass mixes layouts.
+    A gradient block that is not C-contiguous (``backward`` gives weight
+    gradients as transposed views) is first copied into the block's
+    scratch: it is then read once, and no pass mixes layouts, which runs
+    at about half speed.
     """
     for i, t, u in blocks:
         gb = g[i]
@@ -646,18 +711,6 @@ def _update_param(state, bias1, bias2, p, m, v, g, blocks):
             np.copyto(u, gb)
             gb = u
         _adam_update(state, bias1, bias2, p[i], m[i], v[i], gb, t, u)
-
-
-def _bias_corrections(state, step):
-    return 1.0 - state.beta1 ** step, 1.0 - state.beta2 ** step
-
-
-def _check_shapes(p, m, v, g):
-    if g.shape != p.data.shape:
-        raise ShapeError(
-            f"gradient shape {g.shape} != parameter shape {p.data.shape}")
-    if m.shape != p.data.shape or v.shape != p.data.shape:
-        raise ShapeError("optimizer state does not match the parameter list")
 
 
 def adam_step(state, params, grads):
@@ -677,107 +730,47 @@ def adam_step(state, params, grads):
 
     so the results are bit-identical to it, but every operation writes into
     scratch owned by ``state`` and no parameter-sized temporary is
-    allocated.  A parameter of at most ``_BLOCK`` elements is updated
-    whole; a larger one is walked in blocks of whole rows of about
-    ``_BLOCK`` elements, so every pass over a block runs in cache.  A
-    gradient block that is not C-contiguous (``backward`` gives weight
-    gradients as transposed views) is first copied into the scratch: it is
-    then read once, and no later pass mixes layouts, which runs at about
-    half speed.
-
-    Inside :func:`adam_helper`, the parameters ``backward`` handed off
-    since the last step are already being updated on the executor's
-    thread, each checked at its hand-off before it was touched.  This call
-    checks and updates the rest inline, then waits for every handed-off
-    update and re-raises the first exception among them, in hand-off
-    order, so no update is still running when it raises.  A bad gradient
-    here still raises ``ShapeError`` before any inline update, but the
-    handed-off parameters have had their update.
+    allocated.  A parameter of more than ``_BLOCK`` elements is walked in
+    blocks of whole rows (:func:`_block_plan`), so every pass over a block
+    runs in cache.
     """
-    handed, state._handed = state._handed, {}
-    try:
-        moments = state.first_moment, state.second_moment
-        if any(len(ms) != len(params) for ms in moments):
+    moments = state.first_moment, state.second_moment
+    if any(len(ms) != len(params) for ms in moments):
+        raise ShapeError("optimizer state does not match the parameter list")
+    if isinstance(grads, dict):
+        grad_list = [grads[p] for p in params]
+    else:
+        grad_list = list(grads)
+        if len(grad_list) != len(params):
+            raise ShapeError("gradient list does not match the parameter list")
+    grad_list = [np.asarray(g, dtype=np.float64) for g in grad_list]
+    for p, m, v, g in zip(params, *moments, grad_list):
+        if g.shape != p.data.shape:
+            raise ShapeError(
+                f"gradient shape {g.shape} != parameter shape {p.data.shape}")
+        if m.shape != p.data.shape or v.shape != p.data.shape:
             raise ShapeError(
                 "optimizer state does not match the parameter list")
-        if any(params[i] is not p for i, (p, _) in handed.items()):
-            raise ValueError("adam_step got other parameters than the ones "
-                             "backward handed off")
-        if isinstance(grads, dict):
-            grad_list = [grads[p] for p in params]
-        else:
-            grad_list = list(grads)
-            if len(grad_list) != len(params):
-                raise ShapeError(
-                    "gradient list does not match the parameter list")
-        grad_list = [np.asarray(g, dtype=np.float64) for g in grad_list]
-        for p, m, v, g in zip(params, *moments, grad_list):
-            _check_shapes(p, m, v, g)
 
-        if state._blocks is None:
-            state._blocks = _block_plan([m.shape for m in moments[0]])
-        state.step += 1
-        bias1, bias2 = _bias_corrections(state, state.step)
-        for k, (p, m, v, g, blocks) in enumerate(
-                zip(params, *moments, grad_list, state._blocks)):
-            if k not in handed:
-                _update_param(state, bias1, bias2, p.data, m, v, g, blocks)
-    finally:
-        futures = [future for _, future in handed.values()]
-        wait(futures)
-        for future in futures:
-            future.result()
+    if state._blocks is None:
+        state._blocks = _block_plan([m.shape for m in moments[0]])
+    state.step += 1
+    bias1 = 1.0 - state.beta1 ** state.step
+    bias2 = 1.0 - state.beta2 ** state.step
+    for p, m, v, g, blocks in zip(params, *moments, grad_list,
+                                  state._blocks):
+        _update_param(state, bias1, bias2, p.data, m, v, g, blocks)
     return params, state
 
 
-@contextmanager
-def adam_helper(state, params):
-    """Overlap the Adam updates of large parameters with ``backward``.
-
-    Yields the ``hand_off`` to pass as ``backward(tape, loss, hand_off)``
-    before each ``adam_step(state, params, grads)``.  Each parameter of
-    more than ``_BLOCK`` elements is then updated on a one-worker
-    executor's thread (``glc-adam``) as soon as its gradient is final,
-    while the calling thread finishes the reverse sweep.  numpy's
-    elementwise loops and BLAS release the GIL, and Adam is elementwise and
-    independent per parameter, so the results are bit-identical to the
-    sequential step.  The worker calls nothing but this module's update
-    loop, with block scratch of its own.
-
-    Yields ``None`` and builds nothing when no parameter is that large.
-    The executor is shut down, after its last update, when the block
-    exits, whether it returns or raises.
+def segment_pool(params, workers):
+    """A ``workers``-thread executor for tape segments, used in ``with``, or
+    a context giving ``None`` if no parameter exceeds ``_BLOCK`` elements.
     """
-    large = [i for i, p in enumerate(params) if p.data.size > _BLOCK]
-    if not large:
-        yield None
-        return
-    index = {id(params[i]): i for i in large}
-    # its own scratch: the inline updates run at the same time
-    blocks = dict(zip(large, _block_plan([params[i].data.shape
-                                          for i in large])))
-
-    def hand_off(param, grad):
-        """Submit the update of ``param`` if it is one of the large ones."""
-        i = index.get(id(param))
-        if i is None:
-            return
-        m, v = state.first_moment[i], state.second_moment[i]
-        g = np.asarray(grad, dtype=np.float64)
-        _check_shapes(param, m, v, g)
-        if i in state._handed:
-            raise ValueError("a parameter was handed off twice in one step")
-        state._handed[i] = (param, pool.submit(
-            _update_param, state, *_bias_corrections(state, state.step + 1),
-            param.data, m, v, g, blocks[i]))
-
-    try:
-        with ThreadPoolExecutor(max_workers=1,
-                                thread_name_prefix="glc-adam") as pool:
-            yield hand_off
-    finally:
-        # a step the block left unfinished is not carried over
-        state._handed = {}
+    if all(p.data.size <= _BLOCK for p in params):
+        return nullcontext()
+    return ThreadPoolExecutor(max_workers=workers,
+                              thread_name_prefix="glc-segment")
 
 
 # ---------------------------------------------------------------------------

@@ -26,19 +26,20 @@ derive_seed(s, "eval", i).  Two runs with equal configs are bit-identical.
 ``pretrain`` and ``train`` run one phase driver, tagged with the phase's
 name.  Each step is one function call, so its tape, features, graph and
 gradients are freed before the next batch's forward pass.  Each phase
-opens one :func:`glc.nn.adam_helper`: when a parameter has more than
-``glc.nn._BLOCK`` elements (the ``paper`` profile's weights, no ``desk``
-parameter) its Adam update runs on the helper's one-worker executor as soon
-as ``backward`` hands its gradient off, and ``adam_step`` waits for it
-before the next forward pass.  The executor is shut down before the phase
-returns or raises, and the result is bit-identical to updating every
-parameter after the backward pass.
+opens one :func:`glc.nn.segment_pool` of one worker per view: when a
+parameter has more than 65,536 elements (most ``paper``-profile weights)
+each view's forward pass, reverse sweep and Adam update (a state per view)
+run on its worker, calling ``glc.nn`` only, while losses and graph stay on
+the calling thread; otherwise the same calls run in a loop, bit-identically.
+``GLC_THREADS=N`` can keep N x views threads busy, plus BLAS's own, so
+``OPENBLAS_NUM_THREADS`` above 1 oversubscribes the cores.
 """
 
 import logging
 import math
 import time
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -49,8 +50,9 @@ from .graphs import (build_global_graph, ggc_loss, lwc_total, pair_counts,
 from .metrics import accuracy, ari, nmi
 from .model import (forward_views, init_model, model_parameters,
                     reconstruction_loss)
-from .nn import (AdamState, Tape, adam_helper, adam_step, backward,
-                 mlp_forward, mul, add)
+# workers call nn.adam_step; perfbench/tracing.py wraps this adam_step name
+from .nn import (AdamState, Tape, adam_step, backward, mlp_forward, mul, add,
+                 segment_pool)
 from . import nn
 
 logger = logging.getLogger(__name__)
@@ -131,14 +133,14 @@ def _abort_diagnostics(feats, batch, rec, ggc, lwc):
     return "total", None
 
 
-def _step(model, batch, config, params, opt, hand_off, joint, epoch, bi):
+def _step(model, batch, config, pool, updates, joint, epoch, bi):
     """One update on ``batch``; returns its loss components as floats.
 
     The step's tape, features, graph, pairs and gradients are locals, so
     they are freed when it returns, before the next batch's forward pass.
     Also returns whether some view pair had 2+ common samples.
     """
-    tape = Tape()
+    tape = Tape(pool)
     feats = forward_views(model, batch, tape)
     rec = reconstruction_loss(feats, batch)
     ggc = lwc = None
@@ -172,8 +174,7 @@ def _step(model, batch, config, params, opt, hand_off, joint, epoch, bi):
             f"non-finite {comp} loss at epoch {epoch}, batch {bi}"
             + (f", view {view}" if view is not None else ""),
             epoch=epoch, batch=bi, view=view)
-    grads = backward(tape, loss, hand_off)
-    adam_step(opt, params, grads)
+    backward(tape, loss, updates)
     return {"rec": float(rec.data),
             "ggc": float(ggc.data) if ggc is not None else 0.0,
             "lwc": float(lwc.data) if lwc is not None else 0.0,
@@ -185,23 +186,24 @@ def _run_phase(model, dataset, config, history, phase):
 
     ``phase`` is both the batch-order rng's tag and the records' phase;
     only ``"train"`` adds the contrastive terms and metric checkpoints.
-    One :func:`glc.nn.adam_helper` spans the phase, so its thread is
+    One :func:`glc.nn.segment_pool` spans the phase, so its threads are
     shut down before this returns or raises.
     """
     cfg = config.resolved()
     joint = phase == "train"
-    params = model_parameters(model)
-    opt = AdamState.for_params(params, learning_rate=cfg.lr)
+    views = [view.parameters() for view in model]
+    updates = [partial(nn.adam_step, AdamState.for_params(
+        params, learning_rate=cfg.lr), params) for params in views]
     rng = np.random.default_rng(derive_seed(cfg.seed, phase))
-    with adam_helper(opt, params) as hand_off:
+    with segment_pool(model_parameters(model), len(model)) as pool:
         for e in range(1, (cfg.epochs if joint else cfg.pretrain_epochs) + 1):
             start = time.perf_counter()
             epoch = history.next_epoch() if history is not None else 0
             sums = dict.fromkeys(("rec", "ggc", "lwc", "total"), 0.0)
             paired = False
             for bi, batch in enumerate(iter_epoch(dataset, cfg.batch, rng)):
-                losses, batch_paired = _step(model, batch, cfg, params, opt,
-                                             hand_off, joint, e, bi)
+                losses, batch_paired = _step(model, batch, cfg, pool, updates,
+                                             joint, e, bi)
                 for key, value in losses.items():
                     sums[key] += value
                 paired = paired or batch_paired

@@ -106,6 +106,26 @@ def test_exit_code_io_error(tmp_path):
                  "--out", str(tmp_path / "o")]) == 2
 
 
+def test_unwritable_out_exits_2_before_training(tmp_path, fast_cfg,
+                                                monkeypatch):
+    def refuse(*args):
+        raise AssertionError("trained before the output directory existed")
+
+    monkeypatch.setattr(cli, "_fit", refuse)
+    blocker = tmp_path / "file"
+    blocker.write_text("not a directory")
+    assert main(_train_args(blocker / "run", fast_cfg)) == 2
+    # a sweep cell: its directory would go under a file, the sweep's does not
+    out = tmp_path / "sweep"
+    out.mkdir()
+    (out / "cells").write_text("not a directory")
+    assert main(["sweep", "--dataset", SPEC, "--profile", "desk",
+                 "--config", fast_cfg, "--rates", "0.3",
+                 "--out", str(out)]) == 2
+    cell, = json.loads((out / "sweep.json").read_text())["cells"]
+    assert cell["error"]["exit_code"] == 2
+
+
 def test_exit_code_numeric_abort(tmp_path, fast_cfg):
     cfg = json.loads(Path(fast_cfg).read_text())
     cfg["lr"] = 1e100

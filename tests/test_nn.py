@@ -1,21 +1,23 @@
 """Tensor/tape core: op gradients, MLP forward, Adam, grad_check."""
 
 import gc
+import math
 import sys
 import threading
 import time
 import tracemalloc
 import weakref
+from functools import partial
 
 import numpy as np
 import pytest
 
 from glc import nn
 from glc.errors import ShapeError
-from glc.nn import (_BLOCK, AdamState, Layer, Mlp, Tape, Tensor, adam_helper,
-                    adam_step, add, backward, concat_rows, div, grad_check,
-                    matmul, mlp_forward, mul, relu, sqrt, sub, take_rows,
-                    transpose, tsum)
+from glc.nn import (_BLOCK, AdamState, Layer, Mlp, Tape, Tensor, adam_step,
+                    add, backward, concat_rows, div, grad_check, matmul,
+                    mlp_forward, mul, record_segments, relu, segment_pool,
+                    sqrt, sub, take_rows, transpose, tsum)
 from reference_chain import (concat_cols, gather_cols, gather_pairs,
                              logsumexp_rows)
 
@@ -456,8 +458,8 @@ def _assert_same_adam(state, params, ref_state, ref_params):
 
 def test_adam_is_bit_identical_to_the_whole_array_formula():
     rng = np.random.default_rng(7)
-    shapes = [(), (5,), (_BLOCK + 5,), (7, 9), (3, _BLOCK + 11), (1000, 37),
-              (37, 1000)]
+    shapes = [(), (5,), (_BLOCK + 5,), (7, 9), (3, _BLOCK + 11), (4000, 37),
+              (37, 4000)]
     params = [Tensor(rng.normal(size=s)) for s in shapes]
     ref_params = [Tensor(p.data.copy()) for p in params]
     state = AdamState.for_params(params, learning_rate=1e-2)
@@ -477,8 +479,8 @@ def test_adam_is_bit_identical_to_the_whole_array_formula():
 
 def test_adam_backward_dict_is_bit_identical_to_the_whole_array_formula():
     rng = np.random.default_rng(8)
-    # the 500 x 40 weight is walked in blocks, its gradient a transposed view
-    net = Mlp.create([40, 500, 3], rng)
+    # the 2000 x 40 weight is walked in blocks, its gradient a transposed view
+    net = Mlp.create([40, 2000, 3], rng)
     ref_params = [Tensor(p.data.copy()) for p in net.parameters()]
     state = AdamState.for_params(net.parameters())
     ref_state = AdamState.for_params(ref_params)
@@ -494,9 +496,9 @@ def test_adam_backward_dict_is_bit_identical_to_the_whole_array_formula():
 
 def test_adam_allocates_no_parameter_sized_temporary():
     rng = np.random.default_rng(9)
-    p = Tensor(rng.normal(size=(1000, 1000)))
+    p = Tensor(rng.normal(size=(2000, 1000)))
     state = AdamState.for_params([p])
-    grad = rng.normal(size=(1000, 1000)).T
+    grad = rng.normal(size=(1000, 2000)).T
     tracemalloc.start()
     try:
         adam_step(state, [p], [grad])
@@ -520,12 +522,15 @@ def test_adam_converges_on_quadratic():
 
 
 # ---------------------------------------------------------------------------
-# Adam updates on the helper thread
+# tape segments: sweeps and Adam updates on a segment pool's workers
 # ---------------------------------------------------------------------------
 
-def _helper_threads():
-    return [t for t in threading.enumerate()
-            if t.name.startswith("glc-adam")]
+# a square side whose matrix has more than _BLOCK elements
+_BIG = math.isqrt(_BLOCK) + 2
+
+
+def _glc_threads():
+    return [t for t in threading.enumerate() if t.name.startswith("glc")]
 
 
 def _copy_mlp(net):
@@ -534,58 +539,119 @@ def _copy_mlp(net):
                 for layer in net.layers])
 
 
-def test_adam_helper_is_bit_identical_to_the_sequential_step():
+def _joined_loss(nets, xs, tape, segmented):
+    """Each net's forward pass, on a segment of its own or in line."""
+    pairs = list(zip(nets, xs))
+    outs = (record_segments(tape, mlp_forward, pairs) if segmented
+            else [mlp_forward(net, x, tape) for net, x in pairs])
+    both = concat_rows(outs)
+    # each output feeds three nodes above the segments, so the order of the
+    # sums into its gradient shows
+    return add(add(tsum(mul(both, both)), tsum(mul(outs[0], outs[1]))),
+               tsum(relu(take_rows(outs[1], [0, 0, 3]))))
+
+
+def _watched_square(p, tape):
+    tape.watch(p)
+    return tsum(mul(p, p))
+
+
+def test_segments_on_a_pool_are_bit_identical_to_one_plain_tape():
     rng = np.random.default_rng(10)
-    # only the two 130 x 130 weights have more than _BLOCK elements
-    net = Mlp.create([20, 130, 130, 130, 4], rng)
-    ref = _copy_mlp(net)
-    params, ref_params = net.parameters(), ref.parameters()
-    assert [p.data.size > _BLOCK for p in params] == [
-        False, False, True, False, True, False, False, False]
-    state = AdamState.for_params(params, learning_rate=1e-2)
+    # only the _BIG x _BIG weights have more than _BLOCK elements
+    nets = [Mlp.create([20, _BIG, _BIG, 4], rng) for _ in range(2)]
+    refs = [_copy_mlp(net) for net in nets]
+    groups = [net.parameters() for net in nets]
+    ref_params = [p for ref in refs for p in ref.parameters()]
+    states = [AdamState.for_params(ps, learning_rate=1e-2) for ps in groups]
     ref_state = AdamState.for_params(ref_params, learning_rate=1e-2)
-    xs = [rng.normal(size=(16, 20)) for _ in range(6)]
+    updates = [partial(adam_step, st, ps) for st, ps in zip(states, groups)]
     # switch threads as often as possible, so a race would show
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        with adam_helper(state, params) as hand_off:
-            assert hand_off is not None
-            for x in xs:
-                handed = []
-
-                def record(param, grad):
-                    handed.append(param)
-                    hand_off(param, grad)
-
+        with segment_pool(groups[0] + groups[1], 2) as pool:
+            assert pool is not None
+            for _ in range(4):
+                xs = [rng.normal(size=(16, 20)) for _ in nets]
+                tape = Tape(pool)
+                loss = _joined_loss(nets, xs, tape, segmented=True)
+                assert len(tape._segments) == 2
+                # each segment's gradients went to its update, not here
+                assert backward(tape, loss, updates) == {}
                 tape = Tape()
-                out = mlp_forward(net, x, tape=tape)
-                grads = backward(tape, tsum(mul(out, out)), record)
-                # each parameter once, right after its earliest consumer
-                assert handed == params[::-1]
-                assert len(_helper_threads()) == 1
-                adam_step(state, params, grads)
+                loss = _joined_loss(refs, xs, tape, segmented=False)
+                adam_step(ref_state, ref_params, backward(tape, loss))
     finally:
         sys.setswitchinterval(interval)
-    assert not _helper_threads()
-    for x in xs:
-        tape = Tape()
-        out = mlp_forward(ref, x, tape=tape)
-        adam_step(ref_state, ref_params, backward(tape, tsum(mul(out, out))))
-    _assert_same_adam(state, params, ref_state, ref_params)
+    assert not _glc_threads()
+    sizes = [0, len(groups[0]), len(ref_params)]
+    for state, ps, lo, hi in zip(states, groups, sizes, sizes[1:]):
+        part = AdamState(step=ref_state.step,
+                         first_moment=ref_state.first_moment[lo:hi],
+                         second_moment=ref_state.second_moment[lo:hi])
+        _assert_same_adam(state, ps, part, ref_params[lo:hi])
+
+
+def test_segments_record_like_one_tape_in_call_order():
+    rng = np.random.default_rng(15)
+    nets = [Mlp.create([3, 4, 2], rng) for _ in range(3)]
+    xs = [rng.normal(size=(5, 3)) for _ in nets]
+    tape = Tape()
+    outs = record_segments(tape, mlp_forward, zip(nets, xs))
+    assert tape._watched == [p for net in nets for p in net.parameters()]
+    # seven nodes per net (transpose, matmul, add; relu on the hidden
+    # layer), in call order
+    assert [(n.start, n.stop, w.start, w.stop)
+            for n, w in tape._segments] == [(0, 7, 0, 4), (7, 14, 4, 8),
+                                            (14, 21, 8, 12)]
+    assert tape._nodes[6::7] == outs
+    assert all(t.tape is tape for t in tape._nodes + tape._watched)
+    fresh = Mlp.create([3, 2], rng)
+    out, = record_segments(None, mlp_forward, [(fresh, xs[0])])
+    assert out.tape is None
+
+
+def test_record_segments_refuses_a_shared_parameter_and_a_used_tape():
+    p = Tensor(np.ones(3))
+    with pytest.raises(ValueError, match="share"):
+        record_segments(Tape(), _watched_square, [(p,), (p,)])
+    tape = Tape()
+    record_segments(tape, _watched_square, [(p,)])
+    with pytest.raises(ValueError, match="before any other node"):
+        record_segments(tape, _watched_square, [(Tensor(np.ones(2)),)])
+
+
+def test_a_parameter_watched_before_moves_to_its_segment():
+    early, late, idle = (Tensor(np.full(2, x)) for x in (1.0, 2.0, 3.0))
+    tape = Tape()
+    tape.watch(idle)
+    tape.watch(early)
+    outs = record_segments(tape, _watched_square, [(early,), (late,)])
+    assert tape._watched == [early, late, idle]
+    handed = []
+    grads = backward(tape, add(*outs), [handed.append, handed.append])
+    assert [list(h) for h in handed] == [[early], [late]]
+    np.testing.assert_array_equal(handed[1][late], 4.0)
+    assert list(grads) == [idle]
+    np.testing.assert_array_equal(grads[idle], 0.0)
 
 
 def test_backward_hands_off_unused_parameters_with_zero_gradients():
     used, unused = Tensor(np.ones(3)), Tensor(np.ones(2))
+
+    def segment(tape):
+        tape.watch(used)
+        tape.watch(unused)
+        return mul(used, used)
+
     tape = Tape()
-    tape.watch(used)
-    tape.watch(unused)
-    handed = {}
-    grads = backward(tape, tsum(mul(used, used)),
-                     lambda p, g: handed.setdefault(p, g))
-    assert list(handed) == [used, unused]
-    assert all(handed[p] is grads[p] for p in handed)
-    np.testing.assert_array_equal(handed[unused], 0.0)
+    out, = record_segments(tape, segment, [()])
+    handed = []
+    assert backward(tape, tsum(out), [handed.append]) == {}
+    assert list(handed[0]) == [used, unused]
+    np.testing.assert_array_equal(handed[0][used], 2.0)
+    np.testing.assert_array_equal(handed[0][unused], 0.0)
 
 
 def test_backward_hands_off_a_reused_parameter_after_its_first_use():
@@ -593,86 +659,74 @@ def test_backward_hands_off_a_reused_parameter_after_its_first_use():
     w = Tensor(rng.normal(size=(3, 3)))
     x = rng.normal(size=(2, 3))
 
-    def loss(tape):
+    def segment(tape):
         tape.watch(w)
-        h = relu(matmul(matmul(x, w), w))      # w is consumed twice
-        return tsum(mul(h, h))
+        return relu(matmul(matmul(x, w), w))    # w is consumed twice here
+
+    def loss(h):
+        return tsum(mul(matmul(h, w), h))       # and once above the segment
 
     tape = Tape()
-    plain = backward(tape, loss(tape))[w]
-    handed = {}
+    plain = backward(tape, loss(segment(tape)))[w]
+    handed = []
     tape = Tape()
-    grads = backward(tape, loss(tape),
-                     lambda p, g: handed.setdefault(p, g.copy()))
-    # the copy taken at the hand-off already holds both uses' terms
-    assert np.array_equal(handed[w], plain)
-    assert np.array_equal(grads[w], plain)
-
-
-def test_adam_helper_checks_each_gradient_at_its_hand_off():
-    p = Tensor(np.zeros((130, 130)))
-    state = AdamState.for_params([p])
-    with adam_helper(state, [p]) as hand_off:
-        with pytest.raises(ShapeError):
-            hand_off(p, np.ones((130, 131)))
-        np.testing.assert_array_equal(p.data, 0.0)
-        hand_off(p, np.ones((130, 130)))
-        with pytest.raises(ValueError):
-            hand_off(p, np.ones((130, 130)))
-        adam_step(state, [p], [np.ones((130, 130))])
-    assert state.step == 1
-    np.testing.assert_allclose(p.data, -1e-3)
+    h, = record_segments(tape, segment, [()])
+    backward(tape, loss(h), [handed.append])
+    # the segment's two terms join the one from above in one sweep's order
+    assert np.array_equal(handed[0][w], plain)
 
 
 def test_adam_step_keeps_its_contract_inside_the_helper():
-    # nothing handed off: the whole step runs inline, checked up front
-    a = Tensor(np.zeros((130, 130)))
+    # the helper is a segment pool's worker: a bad gradient there still
+    # raises before anything changes
+    a = Tensor(np.zeros((_BIG, _BIG)))
     b = Tensor(np.zeros(3))
     state = AdamState.for_params([a, b])
-    with adam_helper(state, [a, b]):
+
+    def bad_update(grads):
+        adam_step(state, [a, b], [grads[a], np.ones(4)])
+
+    with segment_pool([a, b], 1) as pool:
+        tape = Tape(pool)
+        out, = record_segments(tape, lambda t: add(_watched_square(a, t),
+                                                   _watched_square(b, t)), [()])
         with pytest.raises(ShapeError):
-            adam_step(state, [a, b], [np.ones((130, 130)), np.ones(4)])
+            backward(tape, out, [bad_update])
     assert state.step == 0
     for arr in [a.data, b.data, *state.first_moment, *state.second_moment]:
         np.testing.assert_array_equal(arr, 0.0)
 
 
-def test_adam_helper_error_surfaces_from_that_steps_adam_step(monkeypatch):
+def test_a_worker_error_surfaces_on_the_calling_thread():
     rng = np.random.default_rng(11)
-    big, small = Tensor(rng.normal(size=(130, 130))), Tensor(np.ones(3))
-    params = [big, small]
-    state = AdamState.for_params(params)
-    update = nn._adam_update
+    params = [Tensor(rng.normal(size=(_BIG, _BIG))), Tensor(np.ones(3))]
+    states = [AdamState.for_params([p]) for p in params]
+    updates = [partial(adam_step, st, [p]) for st, p in zip(states, params)]
 
-    def fail_off_the_main_thread(*args):
+    def fail_off_the_main_thread(p, tape):
         if threading.current_thread() is not threading.main_thread():
-            raise RuntimeError("helper failed")
-        update(*args)
+            raise RuntimeError("worker failed")
+        return _watched_square(p, tape)
 
-    def step(hand_off):
-        tape = Tape()
-        tape.watch(big)
-        tape.watch(small)
-        loss = add(tsum(mul(big, big)), tsum(small))
-        return adam_step(state, params, backward(tape, loss, hand_off))
+    def step(square):
+        tape = Tape(pool)
+        outs = record_segments(tape, square, [(p,) for p in params])
+        backward(tape, add(*outs), updates)
 
-    with adam_helper(state, params) as hand_off:
-        monkeypatch.setattr(nn, "_adam_update", fail_off_the_main_thread)
-        with pytest.raises(RuntimeError, match="helper failed"):
-            step(hand_off)
-        monkeypatch.undo()
-        before = big.data.copy()
-        step(hand_off)
-        assert not np.array_equal(big.data, before)
-    assert not _helper_threads()
+    with segment_pool(params, 2) as pool:
+        with pytest.raises(RuntimeError, match="worker failed"):
+            step(fail_off_the_main_thread)
+        before = params[0].data.copy()
+        step(_watched_square)
+        assert not np.array_equal(params[0].data, before)
+        assert [st.step for st in states] == [1, 1]
+    assert not _glc_threads()
 
 
 def test_adam_step_raises_only_after_every_handed_off_update_is_done(
         monkeypatch):
     rng = np.random.default_rng(14)
-    first, second = (Tensor(rng.normal(size=(130, 130))) for _ in range(2))
-    params = [first, second]
-    state = AdamState.for_params(params)
+    first, second = (Tensor(rng.normal(size=(_BIG, _BIG))) for _ in range(2))
     update = nn._update_param
     done = []
 
@@ -685,32 +739,36 @@ def test_adam_step_raises_only_after_every_handed_off_update_is_done(
 
     monkeypatch.setattr(nn, "_update_param", first_fails_second_is_slow)
     before = second.data.copy()
-    with adam_helper(state, params) as hand_off:
-        grads = [np.ones((130, 130)), np.ones((130, 130))]
-        hand_off(first, grads[0])
-        hand_off(second, grads[1])
+    updates = [partial(adam_step, AdamState.for_params([p]), [p])
+               for p in (first, second)]
+    with segment_pool([first, second], 2) as pool:
+        tape = Tape(pool)
+        outs = record_segments(tape, _watched_square, [(first,), (second,)])
         with pytest.raises(RuntimeError, match="first update failed"):
-            adam_step(state, params, grads)
+            backward(tape, add(*outs), updates)
         # the second update had finished when the first one's error surfaced
         assert len(done) == 1 and done[0] is second.data
         assert not np.array_equal(second.data, before)
 
 
-def test_adam_helper_starts_no_thread_for_small_parameters():
+def test_segment_pool_starts_no_thread_for_small_parameters():
     net = Mlp.create([20, 64, 64, 4], np.random.default_rng(12))
-    state = AdamState.for_params(net.parameters())
     threads = threading.enumerate()
-    with adam_helper(state, net.parameters()) as hand_off:
-        assert hand_off is None
+    with segment_pool(net.parameters(), 3) as pool:
+        assert pool is None
+        tape = Tape(pool)
+        out, = record_segments(tape, mlp_forward, [(net, np.ones((2, 20)))])
+        backward(tape, tsum(out))
         assert threading.enumerate() == threads
 
 
-def test_adam_helper_thread_is_joined_when_the_block_raises():
-    p = Tensor(np.zeros((130, 130)))
+def test_segment_pool_threads_are_joined_when_the_block_raises():
+    p = Tensor(np.zeros((_BIG, _BIG)))
     threads = threading.enumerate()
     with pytest.raises(KeyError):
-        with adam_helper(AdamState.for_params([p]), [p]) as hand_off:
-            hand_off(p, np.ones((130, 130)))
+        with segment_pool([p], 2) as pool:
+            record_segments(Tape(pool), _watched_square, [(p,)])
+            assert _glc_threads()
             raise KeyError("stop")
     assert threading.enumerate() == threads
 

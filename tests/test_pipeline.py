@@ -1,18 +1,20 @@
 """Training schedule, fusion, k-means and evaluation."""
 
-import contextlib
 import gc
+import math
+import sys
 import threading
 import weakref
 
 import numpy as np
 import pytest
 
+from glc import model as model_module
 from glc import nn, pipeline
 from glc.config import PROFILES, Config
 from glc.data import MultiViewDataset, generate_missing_mask, make_synthetic
 from glc.errors import ConfigError, ShapeError, TrainingAborted
-from glc.model import model_parameters
+from glc.model import model_parameters, save_checkpoint
 from glc.pipeline import (ClusterReport, TrainHistory, build_model, evaluate,
                           fuse_features, fuse_mean, infer_features, kmeans,
                           pretrain, total_loss, train)
@@ -220,10 +222,14 @@ def test_train_aborts_on_divergence():
     assert err.value.epoch >= 1
 
 
+# a square side whose matrix has more than glc.nn._BLOCK elements
+_BIG = math.isqrt(nn._BLOCK) + 2
+
+
 def _large_config(**kw):
-    # the 130 x 130 encoder and head weights exceed glc.nn._BLOCK, so their
-    # Adam updates run on the helper thread
-    return _desk_config(hidden=(130,), latent_dim=130, **kw)
+    # the encoder's and head's square weights exceed glc.nn._BLOCK, so each
+    # view runs on a worker of its own
+    return _desk_config(hidden=(_BIG,), latent_dim=_BIG, **kw)
 
 
 def _fit(ds, cfg):
@@ -235,32 +241,53 @@ def _fit(ds, cfg):
             [(r.rec, r.ggc, r.lwc, r.total) for r in history.records])
 
 
-def test_adam_helper_training_is_bit_identical_to_the_sequential_step(
-        monkeypatch):
-    ds = _tiny_dataset(seed=11)
-    cfg = _large_config(pretrain_epochs=2, epochs=2)
-    started = []
-    helper = pipeline.adam_helper
+def _glc_threads():
+    return [t for t in threading.enumerate() if t.name.startswith("glc")]
 
-    @contextlib.contextmanager
-    def spy(opt, params):
-        with helper(opt, params) as hand_off:
-            started.append(hand_off is not None)
-            yield hand_off
 
+def test_view_workers_train_bit_identically_to_the_plain_loop(
+        monkeypatch, tmp_path):
+    ds = make_synthetic(60, 3, 3, dims=[6, 5, 7], separation=4.0, seed=11)
+    ds = MultiViewDataset(ds.views, generate_missing_mask(60, 3, 0.3, 11),
+                          ds.labels, None, ds.n_classes)
+    cfg = _desk_config(hidden=(_BIG, _BIG), pretrain_epochs=1, epochs=1,
+                       batch=32)
+    pools = []
+    make_pool = nn.ThreadPoolExecutor
+
+    def spy(max_workers, **kwargs):
+        pools.append(max_workers)
+        return make_pool(max_workers, **kwargs)
+
+    def fit(out):
+        model = build_model(ds, cfg)
+        history = TrainHistory()
+        pretrain(model, ds, cfg, history=history)
+        train(model, ds, cfg, history=history)
+        out.mkdir()
+        save_checkpoint(model, out / "checkpoint.npz")
+        history.write_csv(out / "history.csv")
+        return [(out / f).read_bytes()
+                for f in ("checkpoint.npz", "history.csv")]
+
+    monkeypatch.setattr(nn, "ThreadPoolExecutor", spy)
     threads = threading.enumerate()
-    monkeypatch.setattr(pipeline, "adam_helper", spy)
-    overlapped = _fit(ds, cfg)
-    assert started == [True, True]          # one helper per pretrain/train
+    # switch threads as often as possible, so a race would show
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        on_workers = fit(tmp_path / "workers")
+    finally:
+        sys.setswitchinterval(interval)
+    assert pools == [3, 3]          # one worker per view, per phase
     assert threading.enumerate() == threads
-    monkeypatch.setattr(pipeline, "adam_helper",
-                        lambda opt, params: contextlib.nullcontext())
-    sequential = _fit(ds, cfg)
-    _assert_params_equal(overlapped[0], sequential[0])
-    assert overlapped[1] == sequential[1]
+    # with every parameter under the gate the same calls run in a loop
+    monkeypatch.setattr(nn, "_BLOCK", 10 ** 9)
+    assert fit(tmp_path / "loop") == on_workers
+    assert pools == [3, 3]
 
 
-def test_train_joins_the_adam_helper_when_it_aborts():
+def test_train_joins_the_view_workers_when_it_aborts():
     ds = _tiny_dataset(seed=9)
     cfg = _large_config(lr=1e100, epochs=10, alpha=0.0, beta=0.0)
     threads = threading.enumerate()
@@ -270,19 +297,49 @@ def test_train_joins_the_adam_helper_when_it_aborts():
     assert threading.enumerate() == threads
 
 
-def test_desk_training_starts_no_thread(monkeypatch):
-    def refuse(*args, **kwargs):
-        raise AssertionError("a desk model built the Adam executor")
+def test_a_view_error_on_its_worker_surfaces_and_no_thread_remains(
+        monkeypatch):
+    ds = _tiny_dataset(seed=14)
+    cfg = _large_config(pretrain_epochs=1, epochs=1)
+    forward_view = model_module._forward_view
+    calls = []
 
-    monkeypatch.setattr(nn, "ThreadPoolExecutor", refuse)
+    def fail_on_a_worker(view, x, tape):
+        calls.append(threading.current_thread().name)
+        if threading.current_thread() is not threading.main_thread():
+            raise RuntimeError("view forward failed")
+        return forward_view(view, x, tape)
+
+    monkeypatch.setattr(model_module, "_forward_view", fail_on_a_worker)
+    threads = threading.enumerate()
+    with pytest.raises(RuntimeError, match="view forward failed"):
+        _fit(ds, cfg)
+    assert calls and all(name.startswith("glc") for name in calls)
+    assert threading.enumerate() == threads
+
+
+def test_desk_training_starts_no_thread(monkeypatch):
     ds = _tiny_dataset(seed=12)
     cfg = _desk_config(pretrain_epochs=1, epochs=1)
+    threads = threading.enumerate()
+    seen = []
+    for name in ("forward_views", "backward"):
+        inner = getattr(pipeline, name)
+
+        def watch(*args, inner=inner):
+            seen.append(threading.enumerate())
+            out = inner(*args)
+            seen.append(threading.enumerate())
+            return out
+
+        monkeypatch.setattr(pipeline, name, watch)
     _fit(ds, cfg)
+    assert len(seen) > 8 and all(t == threads for t in seen)
+    assert threading.enumerate() == threads
 
 
-def test_a_step_is_freed_before_the_next_forward_pass(monkeypatch):
+def _assert_each_step_is_freed(monkeypatch, cfg):
     ds = _tiny_dataset(seed=13)
-    cfg = _desk_config(pretrain_epochs=1, epochs=1)
     forward = pipeline.forward_views
     earlier, alive = [], []
 
@@ -301,6 +358,18 @@ def test_a_step_is_freed_before_the_next_forward_pass(monkeypatch):
     finally:
         gc.enable()
     assert len(alive) > 2 and not any(alive)
+
+
+def test_a_step_is_freed_before_the_next_forward_pass(monkeypatch):
+    _assert_each_step_is_freed(monkeypatch,
+                               _desk_config(pretrain_epochs=1, epochs=1))
+
+
+def test_a_step_on_view_workers_is_freed_before_the_next_forward_pass(
+        monkeypatch):
+    # no future or worker keeps the previous step alive
+    _assert_each_step_is_freed(monkeypatch,
+                               _large_config(pretrain_epochs=1, epochs=1))
 
 
 def test_history_csv_layout(tmp_path):
