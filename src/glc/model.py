@@ -148,24 +148,26 @@ def save_checkpoint(model, path):
 
 
 def load_checkpoint(path):
-    """Rebuild the model saved by :func:`save_checkpoint`."""
-    with np.load(path, allow_pickle=False) as blob:
-        if "meta" not in blob:
-            raise DataFormatError(f"{path}: not a model checkpoint")
-        meta = json.loads(str(blob["meta"]))
-        if meta.get("version") != CHECKPOINT_VERSION:
-            raise DataFormatError(
-                f"{path}: unsupported checkpoint version {meta.get('version')}")
-        model = []
-        for vi, view_meta in enumerate(meta["views"]):
-            nets = {}
-            for name in ("encoder", "decoder", "head"):
-                layers = []
-                for li, act in enumerate(view_meta[name]["activations"]):
-                    weight = Tensor(blob[f"view{vi}_{name}_w{li}"].copy())
-                    bias = Tensor(blob[f"view{vi}_{name}_b{li}"].copy())
-                    layers.append(Layer(weight, bias, act))
-                nets[name] = Mlp(layers)
-            model.append(ViewAutoencoder(nets["encoder"], nets["decoder"],
-                                         nets["head"]))
+    """Rebuild the model saved by :func:`save_checkpoint`; any other file
+    raises ``DataFormatError`` naming ``path``."""
+    try:
+        with np.load(path, allow_pickle=False) as blob:
+            meta = json.loads(str(blob["meta"]))
+            if meta.get("version") != CHECKPOINT_VERSION:
+                raise ValueError(f"version {meta.get('version')} is not "
+                                 f"{CHECKPOINT_VERSION}")
+            model = []
+            for vi, view_meta in enumerate(meta["views"]):
+                nets = {}
+                for name in ("encoder", "decoder", "head"):
+                    layers = []
+                    for li, act in enumerate(view_meta[name]["activations"]):
+                        weight = Tensor(blob[f"view{vi}_{name}_w{li}"].copy())
+                        bias = Tensor(blob[f"view{vi}_{name}_b{li}"].copy())
+                        layers.append(Layer(weight, bias, act))
+                    nets[name] = Mlp(layers)
+                model.append(ViewAutoencoder(nets["encoder"], nets["decoder"],
+                                             nets["head"]))
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise DataFormatError(f"{path}: not a model checkpoint: {exc}") from exc
     return model

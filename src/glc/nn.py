@@ -5,7 +5,11 @@ scalars).  ``Tensor`` wraps one array together with the bookkeeping for
 reverse-mode differentiation: while a ``Tape`` is attached, each operation
 appends a node, and ``backward`` replays the nodes in reverse order to
 accumulate a gradient for every watched parameter.  The op set is exactly
-what dense MLPs, affinity graphs and InfoNCE need.  ``take_rows``' VJP
+what dense MLPs, affinity graphs and InfoNCE need.  :func:`dense` records
+a whole layer (product, bias and optional ReLU) as one node with one
+activation-sized output; it replaced the four nodes ``transpose``,
+``matmul``, ``add`` and ``relu`` per layer (that chain is kept in
+``tests/reference_chain.py``) and is byte-equal to them.  ``take_rows``' VJP
 scatters with ``np.bincount``: repeated indices add in index order from
 0.0, byte-equal to ``np.add.at``.  :func:`pair_contrast` is the one contrastive
 kernel, for the global graph's term and the cross-view term alike: it reads
@@ -85,33 +89,6 @@ class Tensor:
         return add(self, other)
 
     __radd__ = __add__
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __rtruediv__(self, other):
-        return div(other, self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def __neg__(self):
-        return mul(self, -1.0)
-
-    @property
-    def T(self):
-        return transpose(self)
 
 
 class Tape:
@@ -238,17 +215,6 @@ def transpose(a):
         return (g.T if a.requires_grad else None,)
 
     return _attach(a.data.T, (a,), vjp)
-
-
-def relu(a):
-    """Elementwise max(x, 0); the subgradient at exactly 0 is 0."""
-    a = _wrap(a)
-    on = a.data > 0.0
-
-    def vjp(g):
-        return (g * on if a.requires_grad else None,)
-
-    return _attach(np.where(on, a.data, 0.0), (a,), vjp)
 
 
 def sqrt(a):
@@ -586,6 +552,36 @@ class Mlp:
         return params
 
 
+def dense(x, layer):
+    """``x @ W.T + b``, then ReLU on a ``"relu"`` layer, as one node.
+
+    The ReLU maps every entry that is not ``> 0`` (``-0.0`` and NaN too)
+    to ``+0.0``, and its subgradient at exactly 0 is 0.  The output is the
+    layer's only activation-sized array.  The VJP masks a copy of ``g``,
+    never ``g`` itself, which may be a view of another node's gradient, and
+    forms the weight gradient as ``(x.T @ g).T``, the form the four-node
+    chain it replaces used (``tests/reference_chain.py``): value and
+    gradients are byte-equal to it.
+    """
+    x = _wrap(x)
+    w, b = layer.weight, layer.bias
+    y = x.data @ w.data.T
+    y += b.data
+    relu = layer.activation == "relu"
+    if relu:
+        on = y > 0.0
+        np.copyto(y, 0.0, where=~on)
+
+    def vjp(g):
+        if relu:
+            g = g * on
+        return (g @ w.data if x.requires_grad else None,
+                (x.data.T @ g).T if w.requires_grad else None,
+                g.sum(axis=0) if b.requires_grad else None)
+
+    return _attach(y, (x, w, b), vjp)
+
+
 def mlp_forward(net, x, tape=None):
     """Run ``net`` on a (batch, in_dim) matrix.
 
@@ -595,16 +591,14 @@ def mlp_forward(net, x, tape=None):
     if tape is not None:
         for p in net.parameters():
             tape.watch(p)
-    t = x if isinstance(x, Tensor) else Tensor(x)
+    t = _wrap(x)
     if t.data.ndim != 2:
         raise ShapeError("mlp_forward expects a 2-D input")
     if t.data.shape[1] != net.in_dim:
         raise ShapeError(
             f"input width {t.data.shape[1]} != expected {net.in_dim}")
     for layer in net.layers:
-        t = add(matmul(t, transpose(layer.weight)), layer.bias)
-        if layer.activation == "relu":
-            t = relu(t)
+        t = dense(t, layer)
     return t
 
 
@@ -619,6 +613,11 @@ def mlp_forward(net, x, tape=None):
 # 10% slower; three views' updates on their workers at once, with fewer
 # numpy calls contending for the GIL, ran in 98 ms at 64K, 136 ms at 16K.
 _BLOCK = 65536
+
+# Adam's decay rates and denominator guard; no run sets them otherwise
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 
 def _block_plan(shapes):
@@ -657,19 +656,14 @@ class AdamState:
     """
 
     learning_rate: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     step: int = 0
     first_moment: list = field(default_factory=list)
     second_moment: list = field(default_factory=list)
     _blocks: list = field(default=None, init=False, repr=False, compare=False)
 
     @classmethod
-    def for_params(cls, params, learning_rate=1e-3, beta1=0.9, beta2=0.999,
-                   eps=1e-8):
-        state = cls(learning_rate=learning_rate, beta1=beta1, beta2=beta2,
-                    eps=eps)
+    def for_params(cls, params, learning_rate=1e-3):
+        state = cls(learning_rate=learning_rate)
         state.first_moment = [np.zeros_like(p.data) for p in params]
         state.second_moment = [np.zeros_like(p.data) for p in params]
         return state
@@ -680,18 +674,18 @@ def _adam_update(state, bias1, bias2, p, m, v, g, t, u):
 
     ``g`` may be ``u`` itself: it is last read before ``u`` is written.
     """
-    np.multiply(g, 1.0 - state.beta1, out=t)
-    m *= state.beta1
+    np.multiply(g, 1.0 - ADAM_BETA1, out=t)
+    m *= ADAM_BETA1
     m += t
     np.multiply(g, g, out=t)
-    t *= 1.0 - state.beta2
-    v *= state.beta2
+    t *= 1.0 - ADAM_BETA2
+    v *= ADAM_BETA2
     v += t
     np.divide(m, bias1, out=t)
     t *= state.learning_rate
     np.divide(v, bias2, out=u)
     np.sqrt(u, out=u)
-    u += state.eps
+    u += ADAM_EPS
     t /= u
     p -= t
 
@@ -755,8 +749,8 @@ def adam_step(state, params, grads):
     if state._blocks is None:
         state._blocks = _block_plan([m.shape for m in moments[0]])
     state.step += 1
-    bias1 = 1.0 - state.beta1 ** state.step
-    bias2 = 1.0 - state.beta2 ** state.step
+    bias1 = 1.0 - ADAM_BETA1 ** state.step
+    bias2 = 1.0 - ADAM_BETA2 ** state.step
     for p, m, v, g, blocks in zip(params, *moments, grad_list,
                                   state._blocks):
         _update_param(state, bias1, bias2, p.data, m, v, g, blocks)

@@ -1,12 +1,15 @@
-"""The contrastive terms as the chains of tape ops they once were.
+"""The contrastive terms and the dense layer as the chains of tape ops
+they once were.
 
 ``glc.nn.pair_contrast`` computes both contrastive terms as one tape node.
 The ops here are the gathers and the masked log-sum-exp those terms were
 built from before; the tests keep them, and the two chains built from
 them, as references: the global term must match :func:`reference_ggc`
 with either denominator, and the cross-view term
-:func:`reference_pairwise`, within 1e-12 relative.  Each op records a node
-on the tape like any ``glc.nn`` op.
+:func:`reference_pairwise`, within 1e-12 relative.  ``glc.nn.dense`` is one
+node per layer; it must match :func:`reference_dense`, the ``transpose``,
+``matmul``, ``add`` and :func:`relu` chain, byte for byte.  Each op records
+a node on the tape like any ``glc.nn`` op.
 """
 
 import numpy as np
@@ -15,6 +18,23 @@ from glc import nn
 from glc.errors import ShapeError
 from glc.graphs import _normalize_rows
 from glc.nn import _attach, _nonneg, _scatter_add, _wrap
+
+
+def relu(a):
+    """Elementwise max(x, 0); the subgradient at exactly 0 is 0."""
+    a = _wrap(a)
+    on = a.data > 0.0
+
+    def vjp(g):
+        return (g * on if a.requires_grad else None,)
+
+    return _attach(np.where(on, a.data, 0.0), (a,), vjp)
+
+
+def reference_dense(x, layer):
+    """One dense layer as the four nodes it once was on the tape."""
+    out = nn.add(nn.matmul(x, nn.transpose(layer.weight)), layer.bias)
+    return relu(out) if layer.activation == "relu" else out
 
 
 def concat_cols(parts):

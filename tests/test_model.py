@@ -1,5 +1,8 @@
 """View autoencoders: init, masked forward, reconstruction loss, checkpoints."""
 
+import json
+import re
+
 import numpy as np
 import pytest
 
@@ -163,8 +166,39 @@ def test_checkpoint_round_trip_bit_exact(tmp_path):
         np.testing.assert_array_equal(pa.data, pb.data)
 
 
-def test_checkpoint_rejects_garbage(tmp_path):
+def _drop_array(arrays, meta):
+    del arrays["view1_head_w0"]
+
+
+def _tanh_activation(arrays, meta):
+    meta["views"][0]["encoder"]["activations"][0] = "tanh"
+
+
+def _no_views(arrays, meta):
+    del meta["views"]
+
+
+_GARBAGE = {"no_meta": None, "missing_array": _drop_array,
+            "unknown_activation": _tanh_activation, "no_views": _no_views,
+            "text_file": None}
+
+
+@pytest.mark.parametrize("case", list(_GARBAGE))
+def test_checkpoint_rejects_garbage(tmp_path, case):
     path = tmp_path / "bad.npz"
-    np.savez(path, stuff=np.zeros(3))
-    with pytest.raises(DataFormatError):
+    if case == "no_meta":
+        np.savez(path, stuff=np.zeros(3))
+    elif case == "text_file":
+        path.write_text("not a checkpoint\n")
+    else:
+        model = init_model([4, 6], latent_dim=3, head_dim=2, hidden=(5,),
+                           seed=8)
+        save_checkpoint(model, path)
+        with np.load(path) as blob:
+            arrays = dict(blob)
+        meta = json.loads(str(arrays["meta"]))
+        _GARBAGE[case](arrays, meta)
+        arrays["meta"] = np.array(json.dumps(meta))
+        np.savez(path, **arrays)
+    with pytest.raises(DataFormatError, match=re.escape(str(path))):
         load_checkpoint(path)

@@ -14,12 +14,13 @@ import pytest
 
 from glc import nn
 from glc.errors import ShapeError
-from glc.nn import (_BLOCK, AdamState, Layer, Mlp, Tape, Tensor, adam_step,
-                    add, backward, concat_rows, div, grad_check, matmul,
-                    mlp_forward, mul, record_segments, relu, segment_pool,
-                    sqrt, sub, take_rows, transpose, tsum)
+from glc.nn import (_BLOCK, ADAM_BETA1, ADAM_BETA2, ADAM_EPS, AdamState,
+                    Layer, Mlp, Tape, Tensor, adam_step, add, backward,
+                    concat_rows, dense, div, grad_check, matmul, mlp_forward,
+                    mul, record_segments, segment_pool, sqrt, sub, take_rows,
+                    transpose, tsum)
 from reference_chain import (concat_cols, gather_cols, gather_pairs,
-                             logsumexp_rows)
+                             logsumexp_rows, reference_dense, relu)
 
 
 def _identity_layer(n, activation="identity"):
@@ -363,6 +364,72 @@ def test_pair_contrast_rejects_mismatched_shapes():
                          sets[1], 1.0)
 
 
+def _dense_fixture():
+    # small integers keep every product exact, so pre-activations can be
+    # exactly +0.0: a product the bias cancels, and zero inputs plus a
+    # -0.0 bias (BLAS sums products from +0.0)
+    rng = np.random.default_rng(21)
+    x = rng.integers(-3, 4, size=(6, 4)).astype(float)
+    w = rng.integers(-2, 3, size=(5, 4)).astype(float)
+    b = rng.integers(-2, 3, size=5).astype(float)
+    x[0], x[1] = 0.0, -0.0
+    b[0] = -0.0
+    b[1] = -(x[2] @ w[1])
+    # upstream gradient: a transposed view, with signed zeros; the ReLU
+    # mask turns its negative entries into -0.0
+    g = rng.choice([1.5, -2.0, 0.0, -0.0], size=(5, 6)).T
+    return x, w, b, g
+
+
+@pytest.mark.parametrize("activation", ["relu", "identity"])
+@pytest.mark.parametrize("watch_input", [True, False])
+def test_dense_is_byte_equal_to_the_four_node_chain(activation, watch_input):
+    x, w, b, g = _dense_fixture()
+    g_before = g.copy()
+    got = []
+    for forward in (dense, reference_dense):
+        layer = Layer(Tensor(w.copy()), Tensor(b.copy()), activation)
+        tape = Tape()
+        tape.watch(layer.weight)
+        tape.watch(layer.bias)
+        xt = Tensor(x.copy())
+        if watch_input:
+            tape.watch(xt)
+        out = forward(xt, layer)
+        grads = {id(out): g}
+        nn._sweep(tape._nodes, grads)
+        got.append([out.data] + [grads.get(id(t))
+                                 for t in (xt, layer.weight, layer.bias)])
+    pre = x @ w.T + b
+    assert pre[0, 0] == pre[1, 0] == pre[2, 1] == 0.0
+    assert (id(xt) in grads) == watch_input
+    for mine, chain in zip(*got):
+        if mine is None:
+            assert chain is None and not watch_input
+            continue
+        assert mine.shape == chain.shape
+        assert mine.tobytes() == chain.tobytes()
+    # the gradient it was handed is left as it was
+    assert g.tobytes() == g_before.tobytes()
+
+
+def test_a_recorded_mlp_forward_holds_one_activation_per_layer():
+    rng = np.random.default_rng(20)
+    net = Mlp.create([32, 256, 256, 256, 8], rng)
+    x = rng.normal(size=(512, 32))
+    tape = Tape()
+    tracemalloc.start()
+    try:
+        out = mlp_forward(net, x, tape)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert out.data.shape == (512, 8) and len(tape._nodes) == 4
+    outputs = x.shape[0] * (3 * 256 + 8) * 8
+    # a ReLU layer also keeps its mask, an eighth of its output
+    assert held < 1.25 * outputs
+
+
 def test_grad_check_mlp_loss():
     rng = np.random.default_rng(18)
     net = Mlp.create([3, 6, 2], rng)
@@ -434,17 +501,17 @@ def test_adam_shape_mismatch_rejected():
 def _oracle_adam_step(state, params, grads):
     """The whole-array Adam update ``adam_step`` must match bit for bit."""
     state.step += 1
-    bias1 = 1.0 - state.beta1 ** state.step
-    bias2 = 1.0 - state.beta2 ** state.step
+    bias1 = 1.0 - ADAM_BETA1 ** state.step
+    bias2 = 1.0 - ADAM_BETA2 ** state.step
     for p, m, v, g in zip(params, state.first_moment, state.second_moment,
                           grads):
-        m *= state.beta1
-        m += (1.0 - state.beta1) * g
-        v *= state.beta2
-        v += (1.0 - state.beta2) * (g * g)
+        m *= ADAM_BETA1
+        m += (1.0 - ADAM_BETA1) * g
+        v *= ADAM_BETA2
+        v += (1.0 - ADAM_BETA2) * (g * g)
         m_hat = m / bias1
         v_hat = v / bias2
-        p.data -= state.learning_rate * m_hat / (np.sqrt(v_hat) + state.eps)
+        p.data -= state.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
 
 def _assert_same_adam(state, params, ref_state, ref_params):
@@ -600,12 +667,11 @@ def test_segments_record_like_one_tape_in_call_order():
     tape = Tape()
     outs = record_segments(tape, mlp_forward, zip(nets, xs))
     assert tape._watched == [p for net in nets for p in net.parameters()]
-    # seven nodes per net (transpose, matmul, add; relu on the hidden
-    # layer), in call order
+    # two nodes per net (one per dense layer), in call order
     assert [(n.start, n.stop, w.start, w.stop)
-            for n, w in tape._segments] == [(0, 7, 0, 4), (7, 14, 4, 8),
-                                            (14, 21, 8, 12)]
-    assert tape._nodes[6::7] == outs
+            for n, w in tape._segments] == [(0, 2, 0, 4), (2, 4, 4, 8),
+                                            (4, 6, 8, 12)]
+    assert tape._nodes[1::2] == outs
     assert all(t.tape is tape for t in tape._nodes + tape._watched)
     fresh = Mlp.create([3, 2], rng)
     out, = record_segments(None, mlp_forward, [(fresh, xs[0])])
