@@ -446,6 +446,10 @@ def main(argv=None):
             code, "config error" if isinstance(err, ConfigError) else "error")
         print(f"{label}: {err}", file=sys.stderr)
         return code
+    except KeyboardInterrupt:
+        # a phase's view workers are joined by its segment_pool on the way
+        print("interrupted", file=sys.stderr)
+        return 130
 
 
 def entry():

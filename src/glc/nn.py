@@ -39,6 +39,17 @@ overlap.  ``segment_pool`` builds its executor only when some parameter
 has more than ``_BLOCK`` (65,536) elements; smaller models start no
 thread.  Results are bit-identical either way, on any number of cores.
 
+Training hands each parameter to its optimizer during the sweep: with
+``updates``, once a segment's sweep has passed the last of the segment's
+nodes that consume a parameter (its earliest consumer on the tape),
+``backward`` calls the segment's update with that parameter and its
+gradient, in the segment's task, and drops the gradient.  A segment then
+holds about one layer's weight gradient at a time.  :class:`AdamState`
+updates one parameter at a time (:meth:`AdamState.start`, then
+:meth:`AdamState.update`), the same path :func:`adam_step` runs; an error
+there stops the sweep after the parameters handed off before it were
+updated.
+
 Matrix products go through numpy's BLAS.  Those kernels are deterministic
 for a fixed environment and BLAS thread count; the thread count comes from
 the BLAS library's own variables (``OPENBLAS_NUM_THREADS``,
@@ -418,17 +429,50 @@ def record_segments(tape, fn, args):
     return results
 
 
-def _sweep(nodes, grads):
-    """Pull ``grads`` (keyed by tensor id) back through ``nodes``."""
+def _sweep(nodes, grads, due=None, update=None):
+    """Pull ``grads`` (keyed by tensor id) back through ``nodes``.
+
+    ``due`` maps a node's id to the parameters whose gradients are final
+    once that node is done, also when it got no gradient; each goes to
+    ``update(param, grad)`` then, and its gradient is dropped.
+    """
     for node in reversed(nodes):
         g = grads.pop(id(node), None)
-        if g is None:
-            continue
-        for parent, pg in zip(node._parents, node._vjp(g)):
-            if pg is None:
-                continue
-            held = grads.get(id(parent))
-            grads[id(parent)] = pg if held is None else held + pg
+        if g is not None:
+            for parent, pg in zip(node._parents, node._vjp(g)):
+                if pg is None:
+                    continue
+                held = grads.get(id(parent))
+                grads[id(parent)] = pg if held is None else held + pg
+        if due:
+            for param in due.get(id(node), ()):
+                update(param, _take(grads, param))
+
+
+def _take(grads, param):
+    """Pop ``param``'s gradient from ``grads``; zeros if it got none."""
+    g = grads.pop(id(param), None)
+    return np.zeros_like(param.data) if g is None else np.asarray(g)
+
+
+def _sweep_handing_off(nodes, params, grads, update):
+    """:func:`_sweep` ``nodes``, giving each of ``params`` to ``update``
+    as soon as its gradient is final.
+
+    The sweep runs in reverse tape order, so a parameter's gradient is
+    final once the sweep has passed its earliest consumer among ``nodes``,
+    the last of them it reaches.  A parameter no node consumes is handed
+    off at the end, with whatever ``grads`` holds for it or zeros.
+    """
+    pending = {id(p): p for p in params}
+    due = {}
+    for node in nodes:
+        for parent in node._parents:
+            if id(parent) in pending:
+                due.setdefault(id(node), []).append(pending.pop(id(parent)))
+    _sweep(nodes, grads, due, update)
+    for param in pending.values():
+        update(param, _take(grads, param))
 
 
 def backward(tape, loss, updates=None):
@@ -443,18 +487,20 @@ def backward(tape, loss, updates=None):
     thread; the gradients they pass into a segment are then final.  Each
     segment is then swept in its own reverse order, as a task on the tape's
     pool if it has one, so every sum happens in the order of one sweep
-    over the whole tape.  With ``updates``, ``updates[k](grads)`` gets
-    segment k's gradients in the same task, right after its sweep, and the
-    result leaves them out, so they are freed once the update is done.
+    over the whole tape.
+
+    With ``updates``, segment k's parameters go to ``updates[k](param,
+    grad)`` one at a time, in the segment's task, each as soon as the
+    sweep has passed the last of the segment's nodes that consume it (a
+    parameter none consumes goes at the end, with zeros or what the nodes
+    above passed it).  Each is handed off once, and its gradient is then
+    dropped; the result leaves them out.  An error in an update ends that
+    segment's sweep, but parameters handed off before it stay updated.
     """
     if not isinstance(loss, Tensor) or loss.tape is not tape:
         raise ValueError("loss was not computed on this tape")
     if loss.data.size != 1:
         raise ShapeError("loss must be a scalar")
-
-    def final(grads, param):
-        g = grads.get(id(param))
-        return np.zeros_like(param.data) if g is None else np.asarray(g)
 
     nodes, watched, segments = tape._nodes, tape._watched, tape._segments
     top = segments[-1] if segments else (slice(0), slice(0))
@@ -470,18 +516,18 @@ def backward(tape, loss, updates=None):
 
     def sweep_segment(k, own):
         node_slice, param_slice = segments[k]
+        if updates is not None:
+            _sweep_handing_off(nodes[node_slice], watched[param_slice], own,
+                               updates[k])
+            return {}
         _sweep(nodes[node_slice], own)
-        got = {param: final(own, param) for param in watched[param_slice]}
-        if updates is None:
-            return got
-        updates[k](got)
-        return {}
+        return {param: _take(own, param) for param in watched[param_slice]}
 
     result = {}
     for got in _each(tape._pool, sweep_segment, shares()):
         result.update(got)
     for param in watched[top[1].stop:]:
-        result[param] = final(grads, param)
+        result[param] = _take(grads, param)
     for param in watched:
         param.tape = None
     # nodes point back at the tape that lists them; cutting that link lets
@@ -645,14 +691,24 @@ def _block_plan(shapes):
     return [[(i, *views[b]) for i, b in blocks] for blocks in cuts]
 
 
+def _check_shapes(param, m, v, grad):
+    if grad.shape != param.data.shape:
+        raise ShapeError(
+            f"gradient shape {grad.shape} != parameter shape {param.data.shape}")
+    if m.shape != param.data.shape or v.shape != param.data.shape:
+        raise ShapeError("optimizer state does not match the parameter list")
+
+
 @dataclass
 class AdamState:
     """Per-parameter first/second moment buffers plus the shared step count.
 
-    ``_blocks`` holds, per parameter, the blocks :func:`adam_step` walks and
-    their views of one block-sized scratch buffer; the first step builds it
-    and every later step reuses it.  States that update at the same time
-    need a scratch buffer each, so each needs a state of its own.
+    A step is :meth:`start`, then :meth:`update` once per parameter, in any
+    order; :func:`adam_step` does both.  ``_blocks`` holds, per parameter,
+    the blocks an update walks and their views of one block-sized scratch
+    buffer; the first step builds it and every later step reuses it.
+    States that update at the same time need a scratch buffer each, so each
+    needs a state of its own.
     """
 
     learning_rate: float = 1e-3
@@ -660,6 +716,7 @@ class AdamState:
     first_moment: list = field(default_factory=list)
     second_moment: list = field(default_factory=list)
     _blocks: list = field(default=None, init=False, repr=False, compare=False)
+    _bias: tuple = field(default=None, init=False, repr=False, compare=False)
 
     @classmethod
     def for_params(cls, params, learning_rate=1e-3):
@@ -667,6 +724,31 @@ class AdamState:
         state.first_moment = [np.zeros_like(p.data) for p in params]
         state.second_moment = [np.zeros_like(p.data) for p in params]
         return state
+
+    def start(self):
+        """Begin a step: count it and fix its bias corrections (and, on the
+        first step, plan the parameters' blocks)."""
+        if self._blocks is None:
+            self._blocks = _block_plan([m.shape for m in self.first_moment])
+        self.step += 1
+        self._bias = (1.0 - ADAM_BETA1 ** self.step,
+                      1.0 - ADAM_BETA2 ** self.step)
+
+    def update(self, i, param, grad):
+        """Update ``param``, the ``i``-th parameter, and its moments with
+        ``grad`` in the step :meth:`start` began.  A bad shape raises
+        ``ShapeError`` before anything of this parameter changes."""
+        grad = np.asarray(grad, dtype=np.float64)
+        m, v = self.first_moment[i], self.second_moment[i]
+        _check_shapes(param, m, v, grad)
+        _update_param(self, *self._bias, param.data, m, v, grad,
+                      self._blocks[i])
+
+    def by_param(self, params):
+        """:meth:`update` keyed by the tensors ``params`` lists, in the form
+        :func:`backward` hands gradients to."""
+        index = {p: i for i, p in enumerate(params)}
+        return lambda param, grad: self.update(index[param], param, grad)
 
 
 def _adam_update(state, bias1, bias2, p, m, v, g, t, u):
@@ -713,7 +795,11 @@ def adam_step(state, params, grads):
     ``grads`` is either the mapping returned by :func:`backward` or a
     sequence aligned with ``params``.  Every length and shape is checked
     before anything changes, so a bad gradient raises ``ShapeError`` and
-    leaves parameters, moments and ``state.step`` as they were.
+    leaves parameters, moments and ``state.step`` as they were.  It then
+    runs :meth:`AdamState.start` and :meth:`AdamState.update` for each
+    parameter, the path a ``backward`` hand-off takes one parameter at a
+    time; there a bad gradient raises before its own parameter changes,
+    but parameters handed off earlier in the step are already updated.
 
     Each element goes through the same operations in the same order as the
     whole-array formula::
@@ -739,21 +825,10 @@ def adam_step(state, params, grads):
             raise ShapeError("gradient list does not match the parameter list")
     grad_list = [np.asarray(g, dtype=np.float64) for g in grad_list]
     for p, m, v, g in zip(params, *moments, grad_list):
-        if g.shape != p.data.shape:
-            raise ShapeError(
-                f"gradient shape {g.shape} != parameter shape {p.data.shape}")
-        if m.shape != p.data.shape or v.shape != p.data.shape:
-            raise ShapeError(
-                "optimizer state does not match the parameter list")
-
-    if state._blocks is None:
-        state._blocks = _block_plan([m.shape for m in moments[0]])
-    state.step += 1
-    bias1 = 1.0 - ADAM_BETA1 ** state.step
-    bias2 = 1.0 - ADAM_BETA2 ** state.step
-    for p, m, v, g, blocks in zip(params, *moments, grad_list,
-                                  state._blocks):
-        _update_param(state, bias1, bias2, p.data, m, v, g, blocks)
+        _check_shapes(p, m, v, g)
+    state.start()
+    for i, (p, g) in enumerate(zip(params, grad_list)):
+        state.update(i, p, g)
     return params, state
 
 

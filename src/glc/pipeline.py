@@ -28,9 +28,14 @@ name.  Each step is one function call, so its tape, features, graph and
 gradients are freed before the next batch's forward pass.  Each phase
 opens one :func:`glc.nn.segment_pool` of one worker per view: when a
 parameter has more than 65,536 elements (most ``paper``-profile weights)
-each view's forward pass, reverse sweep and Adam update (a state per view)
-run on its worker, calling ``glc.nn`` only, while losses and graph stay on
-the calling thread; otherwise the same calls run in a loop, bit-identically.
+each view's forward pass and reverse sweep run on its worker, calling
+``glc.nn`` only, while losses and graph stay on the calling thread;
+otherwise the same calls run in a loop, bit-identically.  Each view has an
+Adam state of its own, and the sweep hands it each parameter as soon as
+that parameter's gradient is final (:func:`glc.nn.backward`), so a view
+holds about one layer's weight gradient at a time.  A bad gradient shape
+raises there, after the parameters handed off before it were updated; the
+run then stops.
 ``GLC_THREADS=N`` can keep N x views threads busy, plus BLAS's own, so
 ``OPENBLAS_NUM_THREADS`` above 1 oversubscribes the cores.
 """
@@ -39,7 +44,6 @@ import logging
 import math
 import time
 from dataclasses import dataclass, field
-from functools import partial
 
 import numpy as np
 
@@ -50,7 +54,7 @@ from .graphs import (build_global_graph, ggc_loss, lwc_total, pair_counts,
 from .metrics import accuracy, ari, nmi
 from .model import (forward_views, init_model, model_parameters,
                     reconstruction_loss)
-# workers call nn.adam_step; perfbench/tracing.py wraps this adam_step name
+# adam_step is imported for perfbench/tracing.py, which wraps this name
 from .nn import (AdamState, Tape, adam_step, backward, mlp_forward, mul, add,
                  segment_pool)
 from . import nn
@@ -133,8 +137,11 @@ def _abort_diagnostics(feats, batch, rec, ggc, lwc):
     return "total", None
 
 
-def _step(model, batch, config, pool, updates, joint, epoch, bi):
+def _step(model, batch, config, pool, states, updates, joint, epoch, bi):
     """One update on ``batch``; returns its loss components as floats.
+
+    ``states`` are the views' Adam states; ``updates`` their one-parameter
+    updates, which ``backward`` calls during its sweep.
 
     The step's tape, features, graph, pairs and gradients are locals, so
     they are freed when it returns, before the next batch's forward pass.
@@ -174,6 +181,8 @@ def _step(model, batch, config, pool, updates, joint, epoch, bi):
             f"non-finite {comp} loss at epoch {epoch}, batch {bi}"
             + (f", view {view}" if view is not None else ""),
             epoch=epoch, batch=bi, view=view)
+    for state in states:
+        state.start()
     backward(tape, loss, updates)
     return {"rec": float(rec.data),
             "ggc": float(ggc.data) if ggc is not None else 0.0,
@@ -192,8 +201,9 @@ def _run_phase(model, dataset, config, history, phase):
     cfg = config.resolved()
     joint = phase == "train"
     views = [view.parameters() for view in model]
-    updates = [partial(nn.adam_step, AdamState.for_params(
-        params, learning_rate=cfg.lr), params) for params in views]
+    states = [AdamState.for_params(params, learning_rate=cfg.lr)
+              for params in views]
+    updates = [state.by_param(params) for state, params in zip(states, views)]
     rng = np.random.default_rng(derive_seed(cfg.seed, phase))
     with segment_pool(model_parameters(model), len(model)) as pool:
         for e in range(1, (cfg.epochs if joint else cfg.pretrain_epochs) + 1):
@@ -202,8 +212,8 @@ def _run_phase(model, dataset, config, history, phase):
             sums = dict.fromkeys(("rec", "ggc", "lwc", "total"), 0.0)
             paired = False
             for bi, batch in enumerate(iter_epoch(dataset, cfg.batch, rng)):
-                losses, batch_paired = _step(model, batch, cfg, pool, updates,
-                                             joint, e, bi)
+                losses, batch_paired = _step(model, batch, cfg, pool, states,
+                                             updates, joint, e, bi)
                 for key, value in losses.items():
                     sums[key] += value
                 paired = paired or batch_paired

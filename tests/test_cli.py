@@ -150,6 +150,17 @@ def test_exit_code_bad_glc_threads(tmp_path, fast_cfg, monkeypatch):
     assert not (tmp_path / "s" / "cells").exists()
 
 
+def test_an_interrupt_exits_130_with_one_line(tmp_path, fast_cfg,
+                                              monkeypatch, capsys):
+    def interrupt(*args):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli, "_fit", interrupt)
+    assert main(_train_args(tmp_path / "run", fast_cfg)) == 130
+    err = capsys.readouterr().err
+    assert err == "interrupted\n"
+
+
 def test_exit_code_success(tmp_path, fast_cfg):
     assert main(_train_args(tmp_path / "run", fast_cfg)) == 0
 

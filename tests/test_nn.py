@@ -623,6 +623,18 @@ def _watched_square(p, tape):
     return tsum(mul(p, p))
 
 
+def _logging_updates(handed, segments):
+    """One update per segment that logs ``(segment, param, grad)``."""
+    return [lambda param, grad, k=k: handed.append((k, param, grad))
+            for k in range(segments)]
+
+
+def _adam_updates(groups, **kwargs):
+    """An Adam state per parameter group and its one-parameter update."""
+    states = [AdamState.for_params(ps, **kwargs) for ps in groups]
+    return states, [st.by_param(ps) for st, ps in zip(states, groups)]
+
+
 def test_segments_on_a_pool_are_bit_identical_to_one_plain_tape():
     rng = np.random.default_rng(10)
     # only the _BIG x _BIG weights have more than _BLOCK elements
@@ -630,9 +642,8 @@ def test_segments_on_a_pool_are_bit_identical_to_one_plain_tape():
     refs = [_copy_mlp(net) for net in nets]
     groups = [net.parameters() for net in nets]
     ref_params = [p for ref in refs for p in ref.parameters()]
-    states = [AdamState.for_params(ps, learning_rate=1e-2) for ps in groups]
+    states, updates = _adam_updates(groups, learning_rate=1e-2)
     ref_state = AdamState.for_params(ref_params, learning_rate=1e-2)
-    updates = [partial(adam_step, st, ps) for st, ps in zip(states, groups)]
     # switch threads as often as possible, so a race would show
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -644,6 +655,8 @@ def test_segments_on_a_pool_are_bit_identical_to_one_plain_tape():
                 tape = Tape(pool)
                 loss = _joined_loss(nets, xs, tape, segmented=True)
                 assert len(tape._segments) == 2
+                for state in states:
+                    state.start()
                 # each segment's gradients went to its update, not here
                 assert backward(tape, loss, updates) == {}
                 tape = Tape()
@@ -696,9 +709,9 @@ def test_a_parameter_watched_before_moves_to_its_segment():
     outs = record_segments(tape, _watched_square, [(early,), (late,)])
     assert tape._watched == [early, late, idle]
     handed = []
-    grads = backward(tape, add(*outs), [handed.append, handed.append])
-    assert [list(h) for h in handed] == [[early], [late]]
-    np.testing.assert_array_equal(handed[1][late], 4.0)
+    grads = backward(tape, add(*outs), _logging_updates(handed, 2))
+    assert [(k, p) for k, p, _ in handed] == [(0, early), (1, late)]
+    np.testing.assert_array_equal(handed[1][2], 4.0)
     assert list(grads) == [idle]
     np.testing.assert_array_equal(grads[idle], 0.0)
 
@@ -714,10 +727,10 @@ def test_backward_hands_off_unused_parameters_with_zero_gradients():
     tape = Tape()
     out, = record_segments(tape, segment, [()])
     handed = []
-    assert backward(tape, tsum(out), [handed.append]) == {}
-    assert list(handed[0]) == [used, unused]
-    np.testing.assert_array_equal(handed[0][used], 2.0)
-    np.testing.assert_array_equal(handed[0][unused], 0.0)
+    assert backward(tape, tsum(out), _logging_updates(handed, 1)) == {}
+    assert [p for _, p, _ in handed] == [used, unused]
+    np.testing.assert_array_equal(handed[0][2], 2.0)
+    np.testing.assert_array_equal(handed[1][2], 0.0)
 
 
 def test_backward_hands_off_a_reused_parameter_after_its_first_use():
@@ -737,9 +750,10 @@ def test_backward_hands_off_a_reused_parameter_after_its_first_use():
     handed = []
     tape = Tape()
     h, = record_segments(tape, segment, [()])
-    backward(tape, loss(h), [handed.append])
+    backward(tape, loss(h), _logging_updates(handed, 1))
     # the segment's two terms join the one from above in one sweep's order
-    assert np.array_equal(handed[0][w], plain)
+    assert [p for _, p, _ in handed] == [w]
+    assert np.array_equal(handed[0][2], plain)
 
 
 def test_adam_step_keeps_its_contract_inside_the_helper():
@@ -749,8 +763,9 @@ def test_adam_step_keeps_its_contract_inside_the_helper():
     b = Tensor(np.zeros(3))
     state = AdamState.for_params([a, b])
 
-    def bad_update(grads):
-        adam_step(state, [a, b], [grads[a], np.ones(4)])
+    def bad_update(param, grad):
+        # on the first hand-off: a's gradient is good, b's has a wrong shape
+        adam_step(state, [a, b], [np.ones(a.shape), np.ones(4)])
 
     with segment_pool([a, b], 1) as pool:
         tape = Tape(pool)
@@ -766,8 +781,7 @@ def test_adam_step_keeps_its_contract_inside_the_helper():
 def test_a_worker_error_surfaces_on_the_calling_thread():
     rng = np.random.default_rng(11)
     params = [Tensor(rng.normal(size=(_BIG, _BIG))), Tensor(np.ones(3))]
-    states = [AdamState.for_params([p]) for p in params]
-    updates = [partial(adam_step, st, [p]) for st, p in zip(states, params)]
+    states, updates = _adam_updates([[p] for p in params])
 
     def fail_off_the_main_thread(p, tape):
         if threading.current_thread() is not threading.main_thread():
@@ -777,6 +791,8 @@ def test_a_worker_error_surfaces_on_the_calling_thread():
     def step(square):
         tape = Tape(pool)
         outs = record_segments(tape, square, [(p,) for p in params])
+        for state in states:
+            state.start()
         backward(tape, add(*outs), updates)
 
     with segment_pool(params, 2) as pool:
@@ -805,16 +821,102 @@ def test_adam_step_raises_only_after_every_handed_off_update_is_done(
 
     monkeypatch.setattr(nn, "_update_param", first_fails_second_is_slow)
     before = second.data.copy()
-    updates = [partial(adam_step, AdamState.for_params([p]), [p])
-               for p in (first, second)]
+    states, updates = _adam_updates([[first], [second]])
     with segment_pool([first, second], 2) as pool:
         tape = Tape(pool)
         outs = record_segments(tape, _watched_square, [(first,), (second,)])
+        for state in states:
+            state.start()
         with pytest.raises(RuntimeError, match="first update failed"):
             backward(tape, add(*outs), updates)
         # the second update had finished when the first one's error surfaced
         assert len(done) == 1 and done[0] is second.data
         assert not np.array_equal(second.data, before)
+
+
+def test_backward_hands_off_each_parameter_once_after_its_last_consumer():
+    rng = np.random.default_rng(16)
+    w, b, q, idle = (Tensor(rng.normal(size=s))
+                     for s in ((3, 3), (3,), (2,), (4,)))
+    names = {w: "w", b: "b", q: "q", idle: "idle"}
+    x = rng.normal(size=(2, 3))
+
+    def segment(tape):
+        for p in names:
+            tape.watch(p)
+        mul(q, q)                       # node 0: no gradient reaches it
+        h = add(matmul(x, w), b)        # nodes 1 and 2
+        return matmul(h, w)             # node 3, w's second consumer
+
+    def logged(i, vjp, g):
+        log.append(f"vjp {i}")
+        return vjp(g)
+
+    tape = Tape()
+    plain = backward(tape, tsum(segment(tape)))
+    tape = Tape()
+    out, = record_segments(tape, segment, [()])
+    loss = tsum(out)                    # node 4, above the segment
+    log, handed = [], {}
+    for i, node in enumerate(tape._nodes):
+        node._vjp = partial(logged, i, node._vjp)
+
+    def update(param, grad):
+        log.append(names[param])
+        handed[param] = grad
+
+    assert backward(tape, loss, [update]) == {}
+    # each right after the last node that consumes it, an idle one at the end
+    assert log == ["vjp 4", "vjp 3", "vjp 2", "b", "vjp 1", "w", "q", "idle"]
+    for p in names:
+        assert np.array_equal(handed[p], plain[p])
+
+
+def test_a_bad_hand_off_raises_after_earlier_parameters_were_updated():
+    a = Tensor(np.zeros(2))
+    b = Tensor(np.zeros(3))
+    state = AdamState.for_params([a, b])
+    update = state.by_param([a, b])
+
+    def wrong_for_a(param, grad):
+        update(param, np.ones(4) if param is a else grad)
+
+    tape = Tape()
+    out, = record_segments(tape, lambda t: add(_watched_square(a, t),
+                                               _watched_square(b, t)), [()])
+    state.start()
+    with pytest.raises(ShapeError):
+        backward(tape, out, [wrong_for_a])
+    # b was handed off first and is updated; a and its moments are not
+    assert state.step == 1
+    assert not np.array_equal(b.data, 0.0)
+    for arr in [a.data, state.first_moment[0], state.second_moment[0]]:
+        np.testing.assert_array_equal(arr, 0.0)
+
+
+def test_handing_off_keeps_backward_under_one_views_parameter_bytes():
+    rng = np.random.default_rng(17)
+    # five _BIG x _BIG weights per net; three segments sweep at once
+    nets = [Mlp.create([8] + [_BIG] * 6 + [4], rng) for _ in range(3)]
+    groups = [net.parameters() for net in nets]
+    view_bytes = sum(p.data.nbytes for p in groups[0])
+    states, updates = _adam_updates(groups)
+    with segment_pool([p for ps in groups for p in ps], 3) as pool:
+        tape = Tape(pool)
+        outs = record_segments(tape, mlp_forward,
+                               [(net, rng.normal(size=(16, 8)))
+                                for net in nets])
+        both = concat_rows(outs)
+        loss = tsum(mul(both, both))
+        for state in states:
+            state.start()
+        tracemalloc.start()
+        try:
+            backward(tape, loss, updates)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    assert peak < view_bytes
 
 
 def test_segment_pool_starts_no_thread_for_small_parameters():
