@@ -165,6 +165,33 @@ def test_exit_code_success(tmp_path, fast_cfg):
     assert main(_train_args(tmp_path / "run", fast_cfg)) == 0
 
 
+_WITHOUT_SCIPY = """
+import json, sys
+sys.modules["scipy"] = None          # any scipy import now fails
+import glc.cli
+code = glc.cli.main(json.loads(sys.argv[1]))
+loaded = sorted(name for name, module in sys.modules.items()
+                if module is not None
+                and (name == "scipy" or name.startswith("scipy.")))
+print(json.dumps({"code": code, "scipy": loaded}))
+"""
+
+
+def test_a_train_cell_runs_without_scipy(tmp_path, fast_cfg):
+    # run as a process, so the blocked import cannot leak into other tests
+    src = str(Path(glc.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    argv = _train_args(tmp_path / "run", fast_cfg)
+    proc = subprocess.run(
+        [sys.executable, "-c", _WITHOUT_SCIPY, json.dumps(argv)],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == {"code": 0,
+                                                         "scipy": []}
+    assert (tmp_path / "run" / "report.json").is_file()
+
+
 def test_train_with_one_shared_synthetic_width(tmp_path, fast_cfg):
     assert main(["train", "--dataset", "synthetic:n=30,v=3,k=3,dims=4",
                  "--profile", "desk", "--config", fast_cfg,

@@ -1,4 +1,5 @@
-"""Clustering metrics against hand values, brute force and scikit-learn."""
+"""Clustering metrics against hand values and brute-force, scipy and
+scikit-learn oracles."""
 
 import itertools
 
@@ -6,7 +7,7 @@ import numpy as np
 import pytest
 
 from glc.errors import ShapeError
-from glc.metrics import accuracy, ari, nmi
+from glc.metrics import _max_assignment_total, accuracy, ari, nmi
 
 
 def oracle_accuracy(pred, true):
@@ -155,6 +156,55 @@ def test_accuracy_matches_brute_force_sweep():
         true = rng.integers(0, 4, size=20)
         np.testing.assert_allclose(accuracy(pred, true),
                                    oracle_accuracy(pred, true), rtol=1e-12)
+
+
+def test_accuracy_matches_brute_force_on_rectangular_tables():
+    rng = np.random.default_rng(6)
+    for _ in range(60):
+        n_pred, n_true = rng.integers(1, 6, size=2)
+        size = int(rng.integers(1, 25))
+        pred = rng.integers(0, n_pred, size=size)
+        true = rng.integers(0, n_true, size=size)
+        assert accuracy(pred, true) == oracle_accuracy(pred, true)
+
+
+def _scipy_total(table):
+    optimize = pytest.importorskip("scipy.optimize")
+    rows, cols = optimize.linear_sum_assignment(table, maximize=True)
+    return int(table[rows, cols].sum())
+
+
+def _tables(rng):
+    """Random integer tables: both rectangular ways, 1 x k, k x 1, zero
+    rows and columns, heavy ties."""
+    for _ in range(400):
+        r, c = (int(x) for x in rng.integers(1, 12, size=2))
+        yield rng.integers(0, int(rng.choice([2, 5, 50, 1000])), size=(r, c))
+    for k in (1, 2, 7, 30):
+        yield rng.integers(0, 9, size=(1, k))
+        yield rng.integers(0, 9, size=(k, 1))
+    for _ in range(40):
+        table = rng.integers(0, 20, size=(6, 9))
+        table[rng.random(6) < 0.4] = 0
+        table[:, rng.random(9) < 0.4] = 0
+        yield table
+        yield table.T
+    for k in (4, 9, 16):
+        yield np.full((k, k), 3)
+        yield np.tile(rng.integers(0, 4, size=k), (k, 1))
+        yield np.zeros((k, k + 2), dtype=np.int64)
+
+
+def test_assignment_total_matches_scipy():
+    rng = np.random.default_rng(7)
+    for table in _tables(rng):
+        assert _max_assignment_total(table) == _scipy_total(table), table
+
+
+def test_assignment_total_matches_scipy_at_k_200():
+    rng = np.random.default_rng(8)
+    table = rng.integers(0, 100, size=(200, 200))
+    assert _max_assignment_total(table) == _scipy_total(table)
 
 
 def test_nmi_matches_sklearn():
