@@ -14,15 +14,18 @@ local Gaussian-kernel graph.  That weighting is not part of the objective:
 propagated diagonal and the weighted :func:`lwc_loss` remain as reference
 functions; a weight that enters only as the constant ``-sum_i log w_i``
 changes no gradient, so the weighted and the plain loss share one.  Pair
-selection sorts each anchor's row of the graph once and reads both partner
-sets off that order; a row with a tied, NaN or infinite similarity is
-selected again by two stable sorts, so ties always go to the lower index.
-Both terms are one tape node each, :func:`glc.nn.pair_contrast`, reading
-their entries through flat offsets: the global term from the N x N graph
-with the selected pair sets, the cross-view term from a view pair's
+selection packs each entry's column index into the low mantissa bits of
+its similarity, sorts each anchor's row of the graph once by value and
+reads both partner sets off the packed bits; a row whose candidates are
+not distinct and finite once those bits are cleared (a tie, a near-tie, a
+NaN or an infinity) is selected again by two stable sorts, so ties always
+go to the lower index.  Both terms are one tape node each,
+:func:`glc.nn.pair_contrast`: the global term on the N x N graph with the
+selected pair sets as column indices, the cross-view term on a view pair's
 (n, 2n) block ``[s_uu | s_uv]`` with the same sample in the other view as
-each anchor's positive.  Its closed-form VJP writes the gradients into one
-buffer of the matrix's shape.
+each anchor's positive and a boolean mask of every other column as its
+negatives.  Its closed-form VJP writes the gradients into one buffer of
+the matrix's shape.
 Gradients flow only through the similarity entries that the pair sets
 select, never through set membership itself.
 """
@@ -172,13 +175,21 @@ def select_pairs(graph, pos_percent, neg_percent):
     overlap the negative count shrinks to the remaining candidates, and a
     graph that leaves no negative is a ConfigError.
 
-    One row-wise sort serves both sets: with the diagonal keyed ``+inf``,
-    the negatives are the first ``n_neg`` columns of the ascending order
-    and the positives the ``n_pos`` columns just before the diagonal, read
-    backwards.  On a row whose other similarities are finite and distinct
-    every correct sort gives that one order, so the result does not depend
-    on the sort algorithm.  A row with a tie, a NaN or an infinity is
-    selected again, on its own, by two stable sorts.
+    One value sort serves both sets.  The key is a copy of the graph,
+    ``sims + 0.0`` (which also turns -0.0 into +0.0), with the diagonal set
+    to ``+inf``; each entry's low ``b = (N - 1).bit_length()`` mantissa bits
+    are cleared and its column index is written into them, and each row is
+    sorted once by value.  The negatives are the columns in the low bits of
+    the first ``n_neg`` sorted keys, the positives those of the ``n_pos``
+    keys just before the diagonal, read backwards.  A row is settled when
+    its N-1 smallest keys, low bits cleared again, strictly increase and
+    the first and last are finite.  Clearing low bits is monotone and
+    keeps every value's sign and exponent, so a settled row's candidates
+    are distinct, finite and in the sort's order, the one order the stable
+    rule also gives; the result does not depend on numpy's sort algorithm.
+    Every other row (an exact tie, a -0.0 next to a +0.0, two values
+    closer than ``2**(b - 52)`` relative, a NaN or an infinity) is selected
+    again, on its own, by two stable sorts.
     Selection is discrete: no gradient flows through it.
     """
     if not (0.0 < pos_percent and 0.0 < neg_percent):
@@ -194,15 +205,18 @@ def select_pairs(graph, pos_percent, neg_percent):
             f"{n_pos} positives per anchor)")
 
     sims = graph.sims.data
-    key = sims.copy()
+    key = sims + 0.0
     np.fill_diagonal(key, np.inf)               # self sorts after every candidate
-    order = np.argsort(key, axis=1)
-    # copies, so the N x N order is freed before the step's backward pass
-    negatives = order[:, :n_neg].copy()
-    positives = order[:, candidates - n_pos:candidates][:, ::-1].copy()
-    # a row is settled when its N-1 smallest keys are finite and strictly
-    # increasing; a NaN or inf candidate pushes the diagonal's inf into them
+    bits = key.view(np.int64)
+    low = (1 << candidates.bit_length()) - 1
+    bits &= ~low
+    bits |= np.arange(n, dtype=np.int64)
     key.sort(axis=1)
+    negatives = bits[:, :n_neg] & low
+    positives = bits[:, candidates - n_pos:candidates][:, ::-1] & low
+    # a row is settled when its N-1 smallest truncated keys are finite and
+    # strictly increasing; a NaN or inf candidate pushes the diagonal into them
+    bits &= ~low
     vals = key[:, :candidates]
     settled = (vals[:, 1:] > vals[:, :-1]).all(axis=1)
     settled &= np.isfinite(vals[:, 0]) & np.isfinite(vals[:, -1])
@@ -295,7 +309,8 @@ def pairwise_contrastive_loss(h_u, h_v, temperature):
     one matmul of u's rows against it gives the (n, 2n) block
     ``[s_uu | s_uv]``: the loss is one :func:`glc.nn.pair_contrast` node on
     it, whose positive of anchor i is column n+i and whose negatives are
-    every column but i and n+i.
+    every column but i and n+i, passed as a boolean mask and so read in
+    column order.
     """
     if temperature <= 0.0:
         raise ConfigError("temperature must be positive")
@@ -312,9 +327,7 @@ def pairwise_contrastive_loss(h_u, h_v, temperature):
     keep = np.ones((n, 2 * n), dtype=bool)
     keep[idx, idx] = False                                # the anchor itself
     keep[idx, n + idx] = False                            # its positive
-    negatives = np.broadcast_to(np.arange(2 * n), keep.shape)[keep]
-    return nn.pair_contrast(sims, (idx + n)[:, None],
-                            negatives.reshape(n, 2 * n - 2), 1.0 / temperature)
+    return nn.pair_contrast(sims, (idx + n)[:, None], keep, 1.0 / temperature)
 
 
 def lwc_loss(h_u, h_v, weights, temperature):

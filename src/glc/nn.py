@@ -13,12 +13,13 @@ activation-sized output; it replaced the four nodes ``transpose``,
 scatters with ``np.bincount``: repeated indices add in index order from
 0.0, byte-equal to ``np.add.at``.  :func:`pair_contrast` is the one contrastive
 kernel, for the global graph's term and the cross-view term alike: it reads
-each anchor row's positive and negative entries through flat offsets,
-subtracts the row maximum before exponentiating so large
-similarity/temperature ratios cannot overflow, and its VJP writes into one
-buffer of the matrix's shape.  It equals the chain of gathers it replaced
-(kept in ``tests/reference_chain.py``) within rounding, for both
-denominators.
+each anchor row's positive entries through flat offsets and its negatives
+either through flat offsets (index sets, read in the order given) or
+through a boolean mask (read in column order), subtracts the row maximum
+before exponentiating so large similarity/temperature ratios cannot
+overflow, and its VJP writes into one buffer of the matrix's shape.  It
+equals the chain of gathers it replaced (kept in
+``tests/reference_chain.py``) within rounding, for both denominators.
 
 A tape is meant for a single forward/backward cycle.  ``backward`` detaches
 the watched parameters and every recorded node from the tape afterwards,
@@ -308,9 +309,8 @@ def pair_contrast(a, positives, negatives, scale,
                   include_positive_in_denominator=False):
     """InfoNCE over per-row partner sets of an (n, c) matrix, as one node.
 
-    Rows of ``a`` are anchors.  Row i of ``positives`` (n, k) and
-    ``negatives`` (n, m) holds column indices of ``a``; every positive pair
-    (i, j) adds
+    Rows of ``a`` are anchors.  Row i of ``positives`` (n, k) holds column
+    indices of ``a``; every positive pair (i, j) adds
     ``log(sum_{l in neg(i)} exp(scale * a[i, l])) - scale * a[i, j]``, and
     the result is the sum over all pairs.  With
     ``include_positive_in_denominator`` the pair's own positive entry joins
@@ -318,21 +318,33 @@ def pair_contrast(a, positives, negatives, scale,
     columns.  Both contrastive terms run through it: the global graph's
     N x N similarities, and a view pair's (n, 2n) block ``[s_uu | s_uv]``.
 
+    ``negatives`` comes in two forms, read in different orders.  As indices
+    (n, m), each row's entries are read in the order given: the global term
+    passes its pair sets, so its sums follow similarity order.  As an (n, c)
+    boolean mask with the same count m in every row (unequal counts are a
+    ShapeError), each row's entries are read in column order with one
+    boolean gather, ``x[mask]``, and written back with one boolean scatter:
+    the cross-view term keeps every column but two per row, and as flat
+    offsets those would take n (2n - 2) int64 to build, gather and
+    scatter.  Given the same entries in the same order, the two forms are
+    byte-equal in value and gradient.
+
     Each anchor's log-sum-exp over its negatives, ``den_i``, is computed
     once.  A pair's denominator term ``t_ij`` is ``den_i``, or with the
     positive in the denominator ``logaddexp(den_i, scale * a[i, j])``; that
     choice is the only branch.  The VJP is one for both: with
     ``q_ij = exp(den_i - t_ij)`` (exactly 1 by default) the anchor's
-    negative softmax is scaled by ``g * sum_j q_ij`` and each positive gets
-    ``-g * scale * q_ij``.  Value and gradient equal the chain
-    ``gather_pairs``, ``gather_cols``, ``mul``, ``logsumexp_rows``,
-    ``take_rows``, ``tsum``, ``sub`` (kept in ``tests/reference_chain.py``)
-    within rounding.
+    negative softmax is scaled, in place, by ``g * sum_j q_ij`` and then by
+    ``scale``, and each positive gets ``-g * scale * q_ij``; a tape is
+    swept once, so nothing reads the softmax afterwards.  Value and
+    gradient equal the chain ``gather_pairs``, ``gather_cols``, ``mul``,
+    ``logsumexp_rows``, ``take_rows``, ``tsum``, ``sub`` (kept in
+    ``tests/reference_chain.py``) within rounding.
     """
     a = _wrap(a)
     x = a.data
     positives = np.asarray(positives, dtype=np.intp)
-    negatives = np.asarray(negatives, dtype=np.intp)
+    negatives = np.asarray(negatives)
     if x.ndim != 2:
         raise ShapeError("pair_contrast expects a 2-D matrix")
     n, c = x.shape
@@ -342,9 +354,19 @@ def pair_contrast(a, positives, negatives, scale,
     # C-order offsets of the entries read, so each set is one flat take
     base = np.arange(n, dtype=np.intp)[:, None] * c
     pos_flat = base + positives
-    neg_flat = base + negatives
+    if negatives.dtype == bool:
+        if negatives.shape != x.shape:
+            raise ShapeError("a negative mask needs the matrix's shape")
+        counts = np.count_nonzero(negatives, axis=1)
+        width = counts.max(initial=0)
+        if (counts != width).any():
+            raise ShapeError("a negative mask needs the same count per row")
+        neg_at = negatives.reshape(-1)      # row by row, columns in order
+    else:
+        width = negatives.shape[1]
+        neg_at = (base + negatives).reshape(-1)
+    softmax = x.reshape(-1)[neg_at].reshape(n, width)
     # a masked log-sum-exp's operations, each in place on one array
-    softmax = np.take(x, neg_flat)
     softmax *= scale
     m = softmax.max(axis=1, keepdims=True)
     softmax -= m
@@ -364,11 +386,11 @@ def pair_contrast(a, positives, negatives, scale,
             return (None,)
         g = float(g)
         q = np.exp(den - per_pair)      # d term/d den_i; d term/d pos: -q
-        neg_grad = (g * q.sum(axis=1, keepdims=True)) * softmax
-        neg_grad *= scale
+        np.multiply(softmax, g * q.sum(axis=1, keepdims=True), out=softmax)
+        np.multiply(softmax, scale, out=softmax)
         grad = np.zeros(x.shape)
         flat = grad.reshape(-1)
-        flat[neg_flat] = neg_grad
+        flat[neg_at] = softmax.reshape(-1)
         flat[pos_flat] = ((-g) * scale) * q
         return (grad,)
 

@@ -143,8 +143,9 @@ def _step(model, batch, config, pool, states, updates, joint, epoch, bi):
     ``states`` are the views' Adam states; ``updates`` their one-parameter
     updates, which ``backward`` calls during its sweep.
 
-    The step's tape, features, graph, pairs and gradients are locals, so
-    they are freed when it returns, before the next batch's forward pass.
+    The step's tape, features and gradients are locals, so they are freed
+    when it returns, before the next batch's forward pass; the graph and
+    its pair sets are dropped as soon as the global term is recorded.
     Also returns whether some view pair had 2+ common samples.
     """
     tape = Tape(pool)
@@ -160,6 +161,7 @@ def _step(model, batch, config, pool, states, updates, joint, epoch, bi):
             pairs = select_pairs(graph, config.pos, config.neg)
             ggc = ggc_loss(graph, pairs, config.tau,
                            config.include_positive_in_denominator)
+            del graph, pairs        # no VJP reads them
         else:
             logger.warning("epoch %d batch %d: %d stacked features leave "
                            "no negative, global term skipped", epoch, bi,

@@ -6,7 +6,9 @@ The ops here are the gathers and the masked log-sum-exp those terms were
 built from before; the tests keep them, and the two chains built from
 them, as references: the global term must match :func:`reference_ggc`
 with either denominator, and the cross-view term
-:func:`reference_pairwise`, within 1e-12 relative.  ``glc.nn.dense`` is one
+:func:`reference_pairwise`, within 1e-12 relative, and byte for byte
+:func:`offset_pairwise`, the same node with its negatives as flat column
+indices instead of a mask.  ``glc.nn.dense`` is one
 node per layer; it must match :func:`reference_dense`, the ``transpose``,
 ``matmul``, ``add`` and :func:`relu` chain, byte for byte.  Each op records
 a node on the tape like any ``glc.nn`` op.
@@ -170,3 +172,24 @@ def reference_pairwise(h_u, h_v, temperature):
 
     pos = gather_pairs(s_uv, idx, idx)
     return nn.sub(nn.tsum(den), nn.tsum(nn.mul(pos, inv_t)))
+
+
+def offset_pairwise(h_u, h_v, temperature):
+    """The cross-view term on n >= 2 rows with index negatives.
+
+    One :func:`glc.nn.pair_contrast` node, as in
+    ``glc.graphs.pairwise_contrastive_loss``, but each anchor's 2n - 2
+    negatives are given as column indices, built from the mask in column
+    order, rather than as the mask itself.
+    """
+    h_u, h_v = _wrap(h_u), _wrap(h_v)
+    n = h_u.data.shape[0]
+    stack = _normalize_rows(nn.concat_rows([h_u, h_v]))    # (2n, d)
+    idx = np.arange(n)
+    sims = nn.matmul(nn.take_rows(stack, idx), nn.transpose(stack))
+    keep = np.ones((n, 2 * n), dtype=bool)
+    keep[idx, idx] = False                                # the anchor itself
+    keep[idx, n + idx] = False                            # its positive
+    negatives = np.broadcast_to(np.arange(2 * n), keep.shape)[keep]
+    return nn.pair_contrast(sims, (idx + n)[:, None],
+                            negatives.reshape(n, 2 * n - 2), 1.0 / temperature)

@@ -19,7 +19,7 @@ from glc.graphs import (GlobalAffinityGraph, PairSets, build_global_graph,
                         pair_counts, pairwise_contrastive_loss, select_pairs)
 from glc.nn import Tape, Tensor, backward, grad_check, take_rows
 from reference_chain import reference_ggc as _reference_ggc
-from reference_chain import reference_pairwise
+from reference_chain import offset_pairwise, reference_pairwise
 
 
 # ---------------------------------------------------------------------------
@@ -222,9 +222,39 @@ def test_select_matches_oracle_on_a_large_graph_with_ties():
         assert (asc[:, n_neg - 1] == asc[:, n_neg]).any()
 
 
-def test_select_matches_oracle_on_a_large_tie_free_graph():
+def _spy_stable_pairs(monkeypatch):
+    """Record the rows each call of ``graphs._stable_pairs`` redoes."""
+    redone = []
+    real = graphs._stable_pairs
+
+    def spy(sims, selves, n_pos, n_neg):
+        redone.extend(int(i) for i in selves)
+        return real(sims, selves, n_pos, n_neg)
+
+    monkeypatch.setattr(graphs, "_stable_pairs", spy)
+    return redone
+
+
+def _assert_selects_like_the_oracle(sims, pos_pct, neg_pct):
+    pairs = select_pairs(_manual_graph(sims), pos_pct, neg_pct)
+    want_pos, want_neg = oracle_select(sims, pos_pct, neg_pct)
+    np.testing.assert_array_equal(pairs.positives, want_pos)
+    np.testing.assert_array_equal(pairs.negatives, want_neg)
+    return pairs
+
+
+def _symmetric_sims(rng, n):
+    x = rng.normal(size=(n, 6))
+    x /= np.linalg.norm(x, axis=1, keepdims=True)
+    sims = x @ x.T
+    np.fill_diagonal(sims, 1.0)
+    return sims
+
+
+def test_select_matches_oracle_on_a_large_tie_free_graph(monkeypatch):
     # every row's candidates are distinct and finite, so every row takes
     # the one-sort path
+    redone = _spy_stable_pairs(monkeypatch)
     rng = np.random.default_rng(21)
     g = _graph_from_features(rng.normal(size=(700, 8)))
     key = g.sims.data.copy()
@@ -235,6 +265,7 @@ def test_select_matches_oracle_on_a_large_tie_free_graph():
     want_pos, want_neg = oracle_select(g.sims.data, 1.0, 50.0)
     np.testing.assert_array_equal(pairs.positives, want_pos)
     np.testing.assert_array_equal(pairs.negatives, want_neg)
+    assert redone == []
 
 
 def test_select_matches_oracle_with_a_nan_similarity():
@@ -267,6 +298,97 @@ def test_select_matches_oracle_with_ties_at_the_full_boundary():
     desc = np.sort(np.where(np.eye(21, dtype=bool), -np.inf, sims),
                    axis=1)[:, ::-1]
     assert (desc[:, n_pos - 1] == desc[:, n_pos]).any()
+
+
+def test_select_matches_oracle_with_signed_zeros():
+    # -0.0 and +0.0 are equal, so they tie and go to the lower index; as
+    # raw bits -0.0 would sort below every positive subnormal key
+    rng = np.random.default_rng(24)
+    sims = _symmetric_sims(rng, 24)
+    zeros = rng.random(sims.shape) < 0.3
+    sims[zeros] = rng.choice([0.0, -0.0], size=zeros.sum())
+    np.fill_diagonal(sims, 1.0)
+    assert (np.signbit(sims) & (sims == 0.0)).any()
+    for pos_pct, neg_pct in ((10.0, 40.0), (30.0, 70.0)):
+        _assert_selects_like_the_oracle(sims, pos_pct, neg_pct)
+
+
+def test_select_matches_oracle_with_subnormal_similarities():
+    # subnormals share the zero exponent: the packed index bits sit in
+    # what is left of their mantissa, and the smallest truncate to zero
+    rng = np.random.default_rng(25)
+    sims = _symmetric_sims(rng, 30)
+    tiny = rng.random(sims.shape) < 0.4
+    sims[tiny] = rng.choice([5e-324, -5e-324, 3e-320, -1e-315, 2.5e-310,
+                             -2.2e-308, 0.0], size=tiny.sum())
+    np.fill_diagonal(sims, 1.0)
+    for pos_pct, neg_pct in ((10.0, 40.0), (25.0, 75.0)):
+        _assert_selects_like_the_oracle(sims, pos_pct, neg_pct)
+
+
+def test_select_redoes_a_row_with_candidates_one_ulp_apart(monkeypatch):
+    # the two values differ in the last mantissa bit, which the packed
+    # index overwrites: the row is selected again by the stable rule, and
+    # only that row
+    redone = _spy_stable_pairs(monkeypatch)
+    rng = np.random.default_rng(26)
+    sims = _symmetric_sims(rng, 40)
+    row = 11
+    for target in (3, 30):
+        for toward in (np.inf, -np.inf):
+            near = sims.copy()
+            near[row, target] = np.nextafter(near[row, target + 1], toward)
+            redone.clear()
+            _assert_selects_like_the_oracle(near, 10.0, 40.0)
+            assert redone == [row]
+
+
+def test_select_matches_oracle_with_a_tie_between_the_selected_sets():
+    # the tie is strictly inside the unselected middle of the row, so it
+    # decides nothing, but the row still leaves the one-sort path
+    rng = np.random.default_rng(27)
+    sims = _symmetric_sims(rng, 30)
+    key = sims[5].copy()
+    key[5] = np.inf
+    order = np.argsort(key)
+    a, b = order[14], order[15]
+    sims[5, b] = sims[5, a]
+    pairs = _assert_selects_like_the_oracle(sims, 10.0, 40.0)
+    chosen = set(pairs.positives[5]) | set(pairs.negatives[5])
+    assert a not in chosen and b not in chosen
+
+
+def test_select_matches_oracle_with_infinities_and_nans():
+    # with the index packed in, an infinity in column 0 stays infinite and
+    # every other one becomes a NaN key: in row 0 the diagonal's key stays
+    # +inf, so an infinite candidate sorts after it.  NaNs sit in the last
+    # column, the one place where the oracle's sorted() orders them as
+    # numpy does
+    rng = np.random.default_rng(28)
+    sims = _symmetric_sims(rng, 30)
+    odd = rng.random(sims.shape) < 0.08
+    sims[odd] = rng.choice([np.inf, -np.inf], size=odd.sum())
+    sims[0] = _symmetric_sims(rng, 30)[0]
+    sims[0, 5] = np.inf
+    sims[1, 0] = -np.inf
+    sims[2, 0] = -np.inf
+    sims[3, 0] = np.inf
+    sims[4:9, -1] = np.nan
+    sims[9, [0, -1]] = np.inf, np.nan
+    np.fill_diagonal(sims, 1.0)
+    for pos_pct, neg_pct in ((10.0, 40.0), (30.0, 70.0)):
+        _assert_selects_like_the_oracle(sims, pos_pct, neg_pct)
+
+
+def test_select_matches_oracle_when_the_index_needs_eleven_bits():
+    # N - 1 = 1,099 candidates: column indices up to 1,099 need 11 low
+    # mantissa bits; a few exact ties send some rows to the stable rule
+    rng = np.random.default_rng(29)
+    sims = _symmetric_sims(rng, 1100)
+    sims[7, 1030] = sims[7, 1050]
+    sims[1090, 2] = sims[1090, 1024]
+    assert (1100 - 1).bit_length() == 11
+    _assert_selects_like_the_oracle(sims, 1.0, 50.0)
 
 
 def test_select_scale_invariance_exact():
@@ -649,6 +771,24 @@ def test_pairwise_matches_the_old_chain(tau):
         v = v / np.linalg.norm(v, axis=1, keepdims=True)
         scaled = np.hstack([u @ u.T, u @ v.T]) / tau
         assert (scaled.max(axis=1, keepdims=True) - scaled > 746.0).any()
+
+
+@pytest.mark.parametrize("tau", [0.5, 0.001])
+def test_lwc_total_is_byte_equal_to_index_negatives(tau, monkeypatch):
+    # the cross-view term passes its negatives as a mask; the same node
+    # given them as column indices, in column order, sums the same entries
+    # in the same order
+    rng = np.random.default_rng(43)
+    views = [rng.normal(size=(rows, 5)) for rows in (40, 33, 37)]
+    co = {(0, 1): (np.arange(3, 36), np.arange(33)),
+          (0, 2): (np.array([3, 7]), np.array([1, 6])),
+          (1, 2): (np.arange(0, 33, 2), np.arange(1, 35, 2))}
+    got, got_grads = _cross_view_value_and_grads(lwc_total, views, co, tau)
+    monkeypatch.setattr(graphs, "pairwise_contrastive_loss", offset_pairwise)
+    want, want_grads = _cross_view_value_and_grads(lwc_total, views, co, tau)
+    assert np.float64(got).tobytes() == np.float64(want).tobytes()
+    for g, w in zip(got_grads, want_grads):
+        assert g.tobytes() == w.tobytes()
 
 
 def test_lwc_total_records_one_pair_contrast_node_per_pair(monkeypatch):

@@ -364,6 +364,61 @@ def test_pair_contrast_rejects_mismatched_shapes():
                          sets[1], 1.0)
 
 
+def _cross_view_mask(n):
+    keep = np.ones((n, 2 * n), dtype=bool)
+    keep[np.arange(n), np.arange(n)] = False
+    keep[np.arange(n), n + np.arange(n)] = False
+    return np.arange(n)[:, None] + n, keep
+
+
+def _random_mask(n):
+    # 5 of 9 columns per row, in no pattern; positives among the rest
+    rng = np.random.default_rng(23)
+    order = np.argsort(rng.random((n, 9)), axis=1)
+    mask = np.zeros((n, 9), dtype=bool)
+    np.put_along_axis(mask, order[:, :5], True, axis=1)
+    return order[:, 5:7], mask
+
+
+@pytest.mark.parametrize("include", [False, True])
+@pytest.mark.parametrize("scale", [2.0, 1000.0])
+@pytest.mark.parametrize("sets", [_cross_view_mask, _random_mask])
+def test_pair_contrast_mask_is_byte_equal_to_its_indices(sets, scale,
+                                                         include):
+    # the mask reads each row's entries in column order, so index
+    # negatives listed in that order give the same sums; at scale 1000
+    # some softmax entries underflow to 0
+    n = 6
+    positives, mask = sets(n)
+    indices = np.nonzero(mask)[1].reshape(n, -1)
+    x = np.random.default_rng(24).uniform(-1.0, 1.0, size=mask.shape)
+    results = []
+    for negatives in (mask, indices):
+        t = Tensor(x.copy())
+        tape = Tape()
+        tape.watch(t)
+        loss = nn.mul(nn.pair_contrast(t, positives, negatives, scale,
+                                       include), -0.3)
+        results.append((loss.data.tobytes(), backward(tape, loss)[t]))
+    (value, grad), (want, want_grad) = results
+    assert value == want
+    assert grad.tobytes() == want_grad.tobytes()
+    if scale == 1000.0:
+        rows = np.arange(n)[:, None]
+        assert (grad[rows, indices] == 0.0).any()
+
+
+def test_pair_contrast_rejects_a_mask_with_unequal_counts():
+    positives, mask = _cross_view_mask(4)
+    x = Tensor(np.zeros(mask.shape))
+    nn.pair_contrast(x, positives, mask, 1.0)
+    mask[2, 2] = True                  # row 2 reads one entry more
+    with pytest.raises(ShapeError):
+        nn.pair_contrast(x, positives, mask, 1.0)
+    with pytest.raises(ShapeError):
+        nn.pair_contrast(x, positives, mask[:, :-1], 1.0)
+
+
 def _dense_fixture():
     # small integers keep every product exact, so pre-activations can be
     # exactly +0.0: a product the bias cancels, and zero inputs plus a
