@@ -20,14 +20,21 @@ reads both partner sets off the packed bits; a row whose candidates are
 not distinct and finite once those bits are cleared (a tie, a near-tie, a
 NaN or an infinity) is selected again by two stable sorts, so ties always
 go to the lower index.  Both terms are one tape node each,
-:func:`glc.nn.pair_contrast`: the global term on the N x N graph with the
-selected pair sets as column indices, the cross-view term on a view pair's
-(n, 2n) block ``[s_uu | s_uv]`` with the same sample in the other view as
-each anchor's positive and a boolean mask of every other column as its
-negatives.  Its closed-form VJP writes the gradients into one buffer of
-the matrix's shape.
+:func:`glc.nn.gram_contrast`, whose parent is a stack of unit-norm feature
+rows: the global term reads the selected entries of the graph's N x N
+similarities, the cross-view term forms a view pair's (n, 2n) block
+``[s_uu | s_uv]`` inside its node, with the same sample in the other view
+as each anchor's positive and a boolean mask of every other column as its
+negatives.  The closed-form VJP writes the gradients into one buffer of the
+block's shape and multiplies it by the unit rows.
 Gradients flow only through the similarity entries that the pair sets
 select, never through set membership itself.
+
+What a joint step holds: the graph's similarities are off the tape, so
+they are freed as soon as the step drops the graph, before the backward
+pass; a cross-view block lives only inside its node's forward pass.  The
+tape keeps each term's unit rows and the softmax over its negatives, and
+the sweep frees that softmax once it has passed the node.
 """
 
 import logging
@@ -65,13 +72,19 @@ def _normalize_rows(t):
 class GlobalAffinityGraph:
     """Cosine similarities over the stacked per-view features.
 
-    ``owners[r]`` records which (view, batch position) produced stacked
-    row r.  ``sims`` stays attached to the tape so the contrastive loss
-    can differentiate through the selected entries.
+    ``unit`` is the stack of unit-norm feature rows, on the tape; the
+    global term differentiates through it.  ``sims`` is ``unit @ unit.T``
+    with the diagonal pinned to 1, off the tape: pair selection reads it,
+    the global term reads its selected entries in the forward pass only,
+    and no node keeps it, so it is freed with the graph.  ``owners[r]``
+    records which (view, batch position) produced stacked row r.  A graph
+    given by its similarities alone (``unit`` None) can be selected from
+    but has no global term.
     """
 
-    sims: Tensor         # (N_c, N_c), diagonal pinned to 1
+    sims: Tensor         # (N_c, N_c), off the tape, diagonal pinned to 1
     owners: np.ndarray   # (N_c, 2) int: view id, batch position
+    unit: Tensor = None  # (N_c, d) unit rows, on the tape
 
     @property
     def size(self):
@@ -99,13 +112,14 @@ def build_global_graph(view_features, positions=None):
     if not parts:
         raise ShapeError("no features available in any view")
     stack = nn.concat_rows(parts) if len(parts) > 1 else parts[0]
-    normalized = _normalize_rows(stack)
-    sims = nn.matmul(normalized, nn.transpose(normalized))
+    unit = _normalize_rows(stack)
+    sims = unit.data @ unit.data.T
     # self-similarity is 1 by definition; the entry never reaches a loss
-    # (pair selection excludes the diagonal) so pinning it is gradient-safe
-    np.fill_diagonal(sims.data, 1.0)
-    return GlobalAffinityGraph(sims=sims,
-                               owners=np.concatenate(owner_rows, axis=0))
+    # (pair selection excludes the diagonal)
+    np.fill_diagonal(sims, 1.0)
+    return GlobalAffinityGraph(sims=Tensor(sims),
+                               owners=np.concatenate(owner_rows, axis=0),
+                               unit=unit)
 
 
 @dataclass
@@ -235,18 +249,21 @@ def ggc_loss(graph, pairs, temperature, include_positive_in_denominator=False):
     The denominator runs over the negatives only; the optional flag adds
     the pair's own positive term to it (the conventional variant).
 
-    Both variants record one tape node, :func:`glc.nn.pair_contrast`, whose
-    closed-form VJP writes the gradient of every selected entry into one
-    N x N buffer for ``graph.sims``.  Pair sets with the wrong row count are
-    a ShapeError.  The pair sets are constants: selection carries no
+    Both variants record one tape node on ``graph.unit``,
+    :func:`glc.nn.gram_contrast`, which reads the selected entries of
+    ``graph.sims`` and keeps none of it; its closed-form VJP writes the
+    gradient of every selected entry into one N x N buffer and multiplies
+    it by the unit rows.  Pair sets with the wrong row count are a
+    ShapeError.  The pair sets are constants: selection carries no
     gradient.
     """
     if temperature <= 0.0:
         raise ConfigError("temperature must be positive")
     if pairs.negatives.shape[1] < 1:
         raise ConfigError("anchors with positives need at least one negative")
-    return nn.pair_contrast(graph.sims, pairs.positives, pairs.negatives,
-                            1.0 / temperature, include_positive_in_denominator)
+    return nn.gram_contrast(graph.unit, pairs.positives, pairs.negatives,
+                            1.0 / temperature, include_positive_in_denominator,
+                            sims=graph.sims.data)
 
 
 # ---------------------------------------------------------------------------
@@ -306,11 +323,11 @@ def pairwise_contrastive_loss(h_u, h_v, temperature):
     Anchors are view u's rows.  The positive of anchor i is view v's row i;
     the denominator sums over all other rows of both views (2(n-1) terms).
     The rows of both views are normalized once, as one stack [u; v], and
-    one matmul of u's rows against it gives the (n, 2n) block
-    ``[s_uu | s_uv]``: the loss is one :func:`glc.nn.pair_contrast` node on
-    it, whose positive of anchor i is column n+i and whose negatives are
-    every column but i and n+i, passed as a boolean mask and so read in
-    column order.
+    the loss is one :func:`glc.nn.gram_contrast` node on that stack: it
+    forms the (n, 2n) block ``[s_uu | s_uv]`` of u's rows against the
+    stack, reads it and drops it.  The positive of anchor i is column n+i,
+    and its negatives are every column but i and n+i, passed as a boolean
+    mask and so read in column order.
     """
     if temperature <= 0.0:
         raise ConfigError("temperature must be positive")
@@ -323,11 +340,10 @@ def pairwise_contrastive_loss(h_u, h_v, temperature):
         return Tensor(0.0)
     stack = _normalize_rows(nn.concat_rows([h_u, h_v]))    # (2n, d)
     idx = np.arange(n)
-    sims = nn.matmul(nn.take_rows(stack, idx), nn.transpose(stack))
     keep = np.ones((n, 2 * n), dtype=bool)
     keep[idx, idx] = False                                # the anchor itself
     keep[idx, n + idx] = False                            # its positive
-    return nn.pair_contrast(sims, (idx + n)[:, None], keep, 1.0 / temperature)
+    return nn.gram_contrast(stack, (idx + n)[:, None], keep, 1.0 / temperature)
 
 
 def lwc_loss(h_u, h_v, weights, temperature):
@@ -358,7 +374,7 @@ def lwc_total(h_list, co_available, temperature):
 
     ``co_available`` maps (u, v) with u < v to the pair's local row
     indices; each pair adds :func:`pairwise_contrastive_loss` on those
-    rows, one :func:`glc.nn.pair_contrast` node per pair.  No pair weights
+    rows, one :func:`glc.nn.gram_contrast` node per pair.  No pair weights
     enter: this is plain cross-view InfoNCE.  Pairs with fewer than 2
     common samples are skipped with a warning.
     """

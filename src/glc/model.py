@@ -54,10 +54,11 @@ class ViewAutoencoder:
 
 @dataclass
 class ViewFeatures:
-    """Forward results for one view's available batch rows."""
+    """Forward results for one view's available batch rows; ``contrast``
+    is None when the pass skipped the projection head."""
 
     latent: Tensor      # (rows, latent_dim)
-    contrast: Tensor    # (rows, head_dim)
+    contrast: Tensor    # (rows, head_dim), or None
     recon: Tensor       # (rows, input_dim)
 
 
@@ -94,21 +95,26 @@ def model_parameters(model):
     return params
 
 
-def forward_views(model, batch, tape=None):
+def forward_views(model, batch, tape=None, contrast=True):
     """Encode, project and reconstruct each view's available rows.
 
     Each view records on a tape segment of its own, so on a tape with a
     pool the views run at once.  Views with no available samples yield
-    empty (0-row) feature blocks and contribute nothing downstream.
+    empty (0-row) feature blocks and contribute nothing downstream.  With
+    ``contrast`` false the projection heads do not run: no head node is
+    recorded and no head parameter is watched, so a step whose objective
+    reads no contrastive feature hands the heads nothing to update.
     """
     if len(model) != len(batch.view_data):
         raise ShapeError("model and batch disagree on the number of views")
-    return record_segments(tape, _forward_view, zip(model, batch.view_data))
+    return record_segments(tape, _forward_view,
+                           [(view, x, contrast)
+                            for view, x in zip(model, batch.view_data)])
 
 
-def _forward_view(view, x, tape):
+def _forward_view(view, x, contrast, tape):
     z = mlp_forward(view.encoder, x, tape)
-    h = mlp_forward(view.head, z, tape)
+    h = mlp_forward(view.head, z, tape) if contrast else None
     x_hat = mlp_forward(view.decoder, z, tape)
     return ViewFeatures(latent=z, contrast=h, recon=x_hat)
 

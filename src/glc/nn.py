@@ -11,22 +11,23 @@ activation-sized output; it replaced the four nodes ``transpose``,
 ``matmul``, ``add`` and ``relu`` per layer (that chain is kept in
 ``tests/reference_chain.py``) and is byte-equal to them.  ``take_rows``' VJP
 scatters with ``np.bincount``: repeated indices add in index order from
-0.0, byte-equal to ``np.add.at``.  :func:`pair_contrast` is the one contrastive
-kernel, for the global graph's term and the cross-view term alike: it reads
-each anchor row's positive entries through flat offsets and its negatives
-either through flat offsets (index sets, read in the order given) or
-through a boolean mask (read in column order), subtracts the row maximum
-before exponentiating so large similarity/temperature ratios cannot
-overflow, and its VJP writes into one buffer of the matrix's shape.  It
-equals the chain of gathers it replaced (kept in
-``tests/reference_chain.py``) within rounding, for both denominators.
+0.0, byte-equal to ``np.add.at``.  :func:`gram_contrast` is the one
+contrastive node, for the global graph's term and the cross-view term
+alike: its parent is a stack of unit rows U, it reads the Gram block
+``U[:m] @ U.T`` in its forward pass only, and its VJP multiplies one
+block-sized gradient buffer by U.  It is byte-equal to its kernel run as a
+node on the block that ``matmul`` and ``transpose`` nodes form, and equals
+the chain of gathers that kernel replaced within rounding, for both
+denominators (both chains are kept in ``tests/reference_chain.py``).
 
-A tape is meant for a single forward/backward cycle.  ``backward`` detaches
-the watched parameters and every recorded node from the tape afterwards,
-so reusing the same parameter tensors on a fresh tape (the normal
-training-step pattern) never leaks nodes, a step's activations are freed by
-reference counting as soon as the step drops them, and forward passes
-without a tape record nothing.
+A tape is meant for a single forward/backward cycle.  ``backward`` drops
+each node's VJP closure as soon as the sweep has passed the node, so the
+softmaxes, masks and offsets the nodes saved go during the sweep, while
+the tape still lists its nodes.  It then detaches the watched parameters
+and every recorded node from the tape, so reusing the same parameter
+tensors on a fresh tape (the normal training-step pattern) never leaks
+nodes, a step's activations are freed by reference counting as soon as the
+step drops them, and forward passes without a tape record nothing.
 
 A tape can hold segments (:func:`record_segments`): sub-computations that
 share no parameter, each recorded on a tape of its own and appended in
@@ -205,30 +206,6 @@ def div(a, b):
     return _attach(a.data / b.data, (a, b), vjp)
 
 
-def matmul(a, b):
-    a, b = _wrap(a), _wrap(b)
-    if a.data.ndim != 2 or b.data.ndim != 2:
-        raise ShapeError("matmul expects 2-D operands")
-    if a.data.shape[1] != b.data.shape[0]:
-        raise ShapeError(
-            f"matmul shapes do not chain: {a.data.shape} @ {b.data.shape}")
-
-    def vjp(g):
-        return (g @ b.data.T if a.requires_grad else None,
-                a.data.T @ g if b.requires_grad else None)
-
-    return _attach(a.data @ b.data, (a, b), vjp)
-
-
-def transpose(a):
-    a = _wrap(a)
-
-    def vjp(g):
-        return (g.T if a.requires_grad else None,)
-
-    return _attach(a.data.T, (a,), vjp)
-
-
 def sqrt(a):
     a = _wrap(a)
     out = np.sqrt(a.data)
@@ -305,18 +282,17 @@ def take_rows(a, idx):
     return _attach(a.data[idx], (a,), vjp)
 
 
-def pair_contrast(a, positives, negatives, scale,
-                  include_positive_in_denominator=False):
-    """InfoNCE over per-row partner sets of an (n, c) matrix, as one node.
+def _contrast(x, positives, negatives, scale, include):
+    """InfoNCE over per-row partner sets of an (n, c) array ``x``: its
+    value, and the function that maps an upstream gradient to its gradient
+    buffer, of ``x``'s shape.
 
-    Rows of ``a`` are anchors.  Row i of ``positives`` (n, k) holds column
-    indices of ``a``; every positive pair (i, j) adds
-    ``log(sum_{l in neg(i)} exp(scale * a[i, l])) - scale * a[i, j]``, and
-    the result is the sum over all pairs.  With
-    ``include_positive_in_denominator`` the pair's own positive entry joins
-    its denominator.  A row's positives and negatives must be distinct
-    columns.  Both contrastive terms run through it: the global graph's
-    N x N similarities, and a view pair's (n, 2n) block ``[s_uu | s_uv]``.
+    Rows of ``x`` are anchors.  Row i of ``positives`` (n, k) holds column
+    indices of ``x``; every positive pair (i, j) adds
+    ``log(sum_{l in neg(i)} exp(scale * x[i, l])) - scale * x[i, j]``, and
+    the value is the sum over all pairs.  With ``include`` the pair's own
+    positive entry joins its denominator.  A row's positives and negatives
+    must be distinct columns.
 
     ``negatives`` comes in two forms, read in different orders.  As indices
     (n, m), each row's entries are read in the order given: the global term
@@ -330,24 +306,25 @@ def pair_contrast(a, positives, negatives, scale,
     byte-equal in value and gradient.
 
     Each anchor's log-sum-exp over its negatives, ``den_i``, is computed
-    once.  A pair's denominator term ``t_ij`` is ``den_i``, or with the
-    positive in the denominator ``logaddexp(den_i, scale * a[i, j])``; that
-    choice is the only branch.  The VJP is one for both: with
-    ``q_ij = exp(den_i - t_ij)`` (exactly 1 by default) the anchor's
-    negative softmax is scaled, in place, by ``g * sum_j q_ij`` and then by
-    ``scale``, and each positive gets ``-g * scale * q_ij``; a tape is
-    swept once, so nothing reads the softmax afterwards.  Value and
-    gradient equal the chain ``gather_pairs``, ``gather_cols``, ``mul``,
-    ``logsumexp_rows``, ``take_rows``, ``tsum``, ``sub`` (kept in
-    ``tests/reference_chain.py``) within rounding.
+    once, with the row maximum subtracted before exponentiating so large
+    similarity/temperature ratios cannot overflow.  A pair's denominator
+    term ``t_ij`` is ``den_i``, or with the positive in the denominator
+    ``logaddexp(den_i, scale * x[i, j])``; that choice is the only branch.
+    The gradient is one for both: with ``q_ij = exp(den_i - t_ij)``
+    (exactly 1 by default) the anchor's negative softmax is scaled, in
+    place, by ``g * sum_j q_ij`` and then by ``scale``, and each positive
+    gets ``-g * scale * q_ij``, all written into one zeroed buffer.  The
+    gradient function keeps the softmax and the offsets it read, not ``x``,
+    and runs once: a tape is swept once, so nothing reads the softmax
+    afterwards.  Value and gradient equal the chain ``gather_pairs``,
+    ``gather_cols``, ``mul``, ``logsumexp_rows``, ``take_rows``, ``tsum``,
+    ``sub`` (kept in ``tests/reference_chain.py``) within rounding.
     """
-    a = _wrap(a)
-    x = a.data
     positives = np.asarray(positives, dtype=np.intp)
     negatives = np.asarray(negatives)
     if x.ndim != 2:
-        raise ShapeError("pair_contrast expects a 2-D matrix")
-    n, c = x.shape
+        raise ShapeError("a contrastive term needs a 2-D matrix")
+    n, c = shape = x.shape
     if positives.ndim != 2 or negatives.ndim != 2 or \
             positives.shape[0] != n or negatives.shape[0] != n:
         raise ShapeError("partner sets need one row per matrix row")
@@ -355,7 +332,7 @@ def pair_contrast(a, positives, negatives, scale,
     base = np.arange(n, dtype=np.intp)[:, None] * c
     pos_flat = base + positives
     if negatives.dtype == bool:
-        if negatives.shape != x.shape:
+        if negatives.shape != shape:
             raise ShapeError("a negative mask needs the matrix's shape")
         counts = np.count_nonzero(negatives, axis=1)
         width = counts.max(initial=0)
@@ -375,26 +352,72 @@ def pair_contrast(a, positives, negatives, scale,
     den = m + np.log(s)
     softmax /= s
     pos = np.take(x, pos_flat) * scale
-    if include_positive_in_denominator:
+    if include:
         per_pair = np.logaddexp(den, pos)
     else:
         per_pair = np.broadcast_to(den, pos.shape)
     out = np.sum(per_pair) - np.sum(pos)
 
-    def vjp(g):
-        if not a.requires_grad:
-            return (None,)
+    def grad(g):
         g = float(g)
         q = np.exp(den - per_pair)      # d term/d den_i; d term/d pos: -q
         np.multiply(softmax, g * q.sum(axis=1, keepdims=True), out=softmax)
         np.multiply(softmax, scale, out=softmax)
-        grad = np.zeros(x.shape)
-        flat = grad.reshape(-1)
+        buf = np.zeros(shape)
+        flat = buf.reshape(-1)
         flat[neg_at] = softmax.reshape(-1)
         flat[pos_flat] = ((-g) * scale) * q
-        return (grad,)
+        return buf
 
-    return _attach(out, (a,), vjp)
+    return out, grad
+
+
+def gram_contrast(unit, positives, negatives, scale,
+                  include_positive_in_denominator=False, sims=None):
+    """InfoNCE over per-row partner sets of the Gram block ``U[:m] @ U.T``
+    of an (N, d) matrix U = ``unit``, as one tape node whose parent is U;
+    m is the row count of ``positives``.
+
+    Both contrastive terms are this node: the global graph's square block
+    (m = N) with its pair sets as column indices, and a view pair's (n, 2n)
+    block ``[s_uu | s_uv]`` of the stack [u; v] (a prefix, m = n) with a
+    boolean mask of negatives.  :func:`_contrast` defines the value, the
+    two forms of ``negatives`` and the gradient buffer G.
+
+    The node forms the block, takes the value and drops it; given
+    ``sims``, the block already formed (the global graph's similarities,
+    whose diagonal no pair set reads), it reads that instead and keeps no
+    reference to it.  Either way no (m, N) array outlives the forward pass
+    but the saved softmax, which :func:`backward` frees once the node is
+    swept.  The VJP returns ``G @ U + (U.T @ G).T`` for the square block,
+    and for a prefix block ``(U[:m].T @ G).T`` plus ``G @ U`` written into
+    the first m rows of zeros as ``0.0 + x``: the sums the ``matmul``,
+    ``transpose`` and, for a prefix, ``take_rows`` nodes it replaced made,
+    so value and gradient are byte-equal to that chain
+    (``tests/reference_chain.py``).
+    """
+    unit = _wrap(unit)
+    u = unit.data
+    if u.ndim != 2:
+        raise ShapeError("a contrastive term needs a 2-D matrix")
+    x = u[:len(positives)] @ u.T if sims is None else np.asarray(sims)
+    if x.ndim != 2 or x.shape[1] != u.shape[0] or x.shape[0] > u.shape[0]:
+        raise ShapeError("the similarities need the Gram block's shape")
+    m = x.shape[0]
+    out, grad = _contrast(x, positives, negatives, scale,
+                          include_positive_in_denominator)
+
+    def vjp(g):
+        if not unit.requires_grad:
+            return (None,)
+        buf = grad(g)
+        if m == u.shape[0]:
+            return (buf @ u + (u.T @ buf).T,)
+        rows = np.zeros(u.shape)
+        rows[:m] += buf @ u             # take_rows' scatter: 0.0 + each entry
+        return ((u[:m].T @ buf).T + rows,)
+
+    return _attach(out, (unit,), vjp)
 
 
 # ---------------------------------------------------------------------------
@@ -466,6 +489,7 @@ def _sweep(nodes, grads, due=None, update=None):
                     continue
                 held = grads.get(id(parent))
                 grads[id(parent)] = pg if held is None else held + pg
+        node._vjp = None            # what it saved goes now, not with the tape
         if due:
             for param in due.get(id(node), ()):
                 update(param, _take(grads, param))

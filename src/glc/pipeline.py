@@ -144,12 +144,14 @@ def _step(model, batch, config, pool, states, updates, joint, epoch, bi):
     updates, which ``backward`` calls during its sweep.
 
     The step's tape, features and gradients are locals, so they are freed
-    when it returns, before the next batch's forward pass; the graph and
-    its pair sets are dropped as soon as the global term is recorded.
+    when it returns, before the next batch's forward pass.  The projection
+    heads run only when the objective has a contrastive term (not in the
+    warm-up, nor in a joint phase with ``alpha`` = ``beta`` = 0).
     Also returns whether some view pair had 2+ common samples.
     """
     tape = Tape(pool)
-    feats = forward_views(model, batch, tape)
+    contrast = joint and (config.alpha > 0 or config.beta > 0)
+    feats = forward_views(model, batch, tape, contrast)
     rec = reconstruction_loss(feats, batch)
     ggc = lwc = None
     paired = False
@@ -161,7 +163,9 @@ def _step(model, batch, config, pool, states, updates, joint, epoch, bi):
             pairs = select_pairs(graph, config.pos, config.neg)
             ggc = ggc_loss(graph, pairs, config.tau,
                            config.include_positive_in_denominator)
-            del graph, pairs        # no VJP reads them
+            # the global term's node keeps the unit rows, not the N x N
+            # similarities: dropping the graph frees them before backward
+            del graph, pairs
         else:
             logger.warning("epoch %d batch %d: %d stacked features leave "
                            "no negative, global term skipped", epoch, bi,

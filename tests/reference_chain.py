@@ -1,15 +1,19 @@
 """The contrastive terms and the dense layer as the chains of tape ops
 they once were.
 
-``glc.nn.pair_contrast`` computes both contrastive terms as one tape node.
-The ops here are the gathers and the masked log-sum-exp those terms were
-built from before; the tests keep them, and the two chains built from
-them, as references: the global term must match :func:`reference_ggc`
-with either denominator, and the cross-view term
+:func:`pair_contrast` runs ``glc.nn``'s contrastive kernel as one node on
+a similarity matrix.  The ops here are the gathers and the masked
+log-sum-exp that kernel was built from before; the tests keep them, and
+the two chains built from them, as references: the global term must match
+:func:`reference_ggc` with either denominator, and the cross-view term
 :func:`reference_pairwise`, within 1e-12 relative, and byte for byte
 :func:`offset_pairwise`, the same node with its negatives as flat column
-indices instead of a mask.  ``glc.nn.dense`` is one
-node per layer; it must match :func:`reference_dense`, the ``transpose``,
+indices instead of a mask.  ``glc.nn.gram_contrast`` is the kernel on the
+Gram block of a stack of unit rows, as one node on the stack; it must
+match :func:`pair_contrast` on :func:`gram_chain`, the ``matmul`` and
+``transpose`` (and, for a prefix block, ``take_rows``) nodes that formed
+the block on the tape, byte for byte.  ``glc.nn.dense`` is one node per
+layer; it must match :func:`reference_dense`, the ``transpose``,
 ``matmul``, ``add`` and :func:`relu` chain, byte for byte.  Each op records
 a node on the tape like any ``glc.nn`` op.
 """
@@ -19,7 +23,45 @@ import numpy as np
 from glc import nn
 from glc.errors import ShapeError
 from glc.graphs import _normalize_rows
-from glc.nn import _attach, _nonneg, _scatter_add, _wrap
+from glc.nn import _attach, _contrast, _nonneg, _scatter_add, _wrap
+
+
+def matmul(a, b):
+    a, b = _wrap(a), _wrap(b)
+    if a.data.ndim != 2 or b.data.ndim != 2:
+        raise ShapeError("matmul expects 2-D operands")
+    if a.data.shape[1] != b.data.shape[0]:
+        raise ShapeError(
+            f"matmul shapes do not chain: {a.data.shape} @ {b.data.shape}")
+
+    def vjp(g):
+        return (g @ b.data.T if a.requires_grad else None,
+                a.data.T @ g if b.requires_grad else None)
+
+    return _attach(a.data @ b.data, (a, b), vjp)
+
+
+def transpose(a):
+    a = _wrap(a)
+
+    def vjp(g):
+        return (g.T if a.requires_grad else None,)
+
+    return _attach(a.data.T, (a,), vjp)
+
+
+def pair_contrast(a, positives, negatives, scale,
+                  include_positive_in_denominator=False):
+    """``glc.nn._contrast`` on the matrix ``a``, as one node whose parent
+    is ``a``."""
+    a = _wrap(a)
+    out, grad = _contrast(a.data, positives, negatives, scale,
+                          include_positive_in_denominator)
+
+    def vjp(g):
+        return (grad(g) if a.requires_grad else None,)
+
+    return _attach(out, (a,), vjp)
 
 
 def relu(a):
@@ -35,7 +77,7 @@ def relu(a):
 
 def reference_dense(x, layer):
     """One dense layer as the four nodes it once was on the tape."""
-    out = nn.add(nn.matmul(x, nn.transpose(layer.weight)), layer.bias)
+    out = nn.add(matmul(x, transpose(layer.weight)), layer.bias)
     return relu(out) if layer.activation == "relu" else out
 
 
@@ -131,19 +173,29 @@ def positive_pairs(pairs):
     return np.repeat(np.arange(n), k), pairs.positives.reshape(-1)
 
 
-def reference_ggc(graph, pairs, temperature, include_positive):
-    """The global term as the chain of gathers it once was on the tape."""
+def gram_chain(unit, m):
+    """``unit[:m] @ unit.T`` as the nodes that formed it on the tape: the
+    global graph's square block from ``unit`` and its transpose, a view
+    pair's prefix block from the rows ``take_rows`` gathered."""
+    if m == unit.data.shape[0]:
+        return matmul(unit, transpose(unit))
+    return matmul(nn.take_rows(unit, np.arange(m)), transpose(unit))
+
+
+def reference_ggc(sims, pairs, temperature, include_positive):
+    """The global term on the similarity tensor ``sims`` as the chain of
+    gathers it once was on the tape."""
     inv_t = 1.0 / temperature
     anchors, partners = positive_pairs(pairs)
-    pos_vals = gather_pairs(graph.sims, anchors, partners)
+    pos_vals = gather_pairs(sims, anchors, partners)
     if include_positive:
         cols = np.concatenate([pairs.negatives[anchors], partners[:, None]],
                               axis=1)
         per_pair_den = logsumexp_rows(nn.mul(
-            gather_cols(graph.sims, cols, rows=anchors), inv_t))
+            gather_cols(sims, cols, rows=anchors), inv_t))
     else:
         den = logsumexp_rows(nn.mul(
-            gather_cols(graph.sims, pairs.negatives), inv_t))
+            gather_cols(sims, pairs.negatives), inv_t))
         per_pair_den = nn.take_rows(den, anchors)
     return nn.sub(nn.tsum(per_pair_den), nn.tsum(nn.mul(pos_vals, inv_t)))
 
@@ -160,8 +212,8 @@ def reference_pairwise(h_u, h_v, temperature):
     inv_t = 1.0 / temperature
     un = _normalize_rows(h_u)
     vn = _normalize_rows(h_v)
-    s_uu = nn.matmul(un, nn.transpose(un))
-    s_uv = nn.matmul(un, nn.transpose(vn))
+    s_uu = matmul(un, transpose(un))
+    s_uv = matmul(un, transpose(vn))
     sims = concat_cols([s_uu, s_uv])                      # (n, 2n)
 
     keep = np.ones((n, 2 * n), dtype=bool)
@@ -177,7 +229,7 @@ def reference_pairwise(h_u, h_v, temperature):
 def offset_pairwise(h_u, h_v, temperature):
     """The cross-view term on n >= 2 rows with index negatives.
 
-    One :func:`glc.nn.pair_contrast` node, as in
+    One :func:`glc.nn.gram_contrast` node, as in
     ``glc.graphs.pairwise_contrastive_loss``, but each anchor's 2n - 2
     negatives are given as column indices, built from the mask in column
     order, rather than as the mask itself.
@@ -186,10 +238,9 @@ def offset_pairwise(h_u, h_v, temperature):
     n = h_u.data.shape[0]
     stack = _normalize_rows(nn.concat_rows([h_u, h_v]))    # (2n, d)
     idx = np.arange(n)
-    sims = nn.matmul(nn.take_rows(stack, idx), nn.transpose(stack))
     keep = np.ones((n, 2 * n), dtype=bool)
     keep[idx, idx] = False                                # the anchor itself
     keep[idx, n + idx] = False                            # its positive
     negatives = np.broadcast_to(np.arange(2 * n), keep.shape)[keep]
-    return nn.pair_contrast(sims, (idx + n)[:, None],
+    return nn.gram_contrast(stack, (idx + n)[:, None],
                             negatives.reshape(n, 2 * n - 2), 1.0 / temperature)

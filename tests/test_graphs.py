@@ -7,6 +7,8 @@ the oracles can afford naive exponentials.
 
 import math
 import tracemalloc
+import weakref
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -19,26 +21,42 @@ from glc.graphs import (GlobalAffinityGraph, PairSets, build_global_graph,
                         pair_counts, pairwise_contrastive_loss, select_pairs)
 from glc.nn import Tape, Tensor, backward, grad_check, take_rows
 from reference_chain import reference_ggc as _reference_ggc
-from reference_chain import offset_pairwise, reference_pairwise
+from reference_chain import (gram_chain, offset_pairwise, pair_contrast,
+                             reference_pairwise)
 
 
 # ---------------------------------------------------------------------------
 # brute-force oracles
 # ---------------------------------------------------------------------------
 
-def oracle_select(sims, pos_pct, neg_pct):
-    """Full-sort pair selection, one anchor at a time."""
-    n = sims.shape[0]
+def oracle_counts(n, pos_pct, neg_pct):
+    """Positives and negatives per anchor, each percentage taken as the
+    decimal it prints as."""
     cand = n - 1
-    n_pos = math.ceil(pos_pct * cand / 100.0)
-    n_neg = min(math.ceil(neg_pct * cand / 100.0), cand - n_pos)
+
+    def share(pct):
+        return math.ceil(Decimal(repr(float(pct))) * cand / 100)
+
+    n_pos = share(pos_pct)
+    return n_pos, min(share(neg_pct), cand - n_pos)
+
+
+def oracle_select(sims, pos_pct, neg_pct):
+    """Full-sort pair selection, one anchor at a time; NaN sorts last in
+    both orders, as numpy's stable sort puts it."""
+    n = sims.shape[0]
+    n_pos, n_neg = oracle_counts(n, pos_pct, neg_pct)
     poss, negs = [], []
     for i in range(n):
+        def key(j, sign):
+            s = sims[i, j]
+            return (math.isnan(s), 0.0 if math.isnan(s) else sign * s, j)
+
         others = [j for j in range(n) if j != i]
-        best_first = sorted(others, key=lambda j: (-sims[i, j], j))
+        best_first = sorted(others, key=lambda j: key(j, -1.0))
         pos = best_first[:n_pos]
         rest = [j for j in others if j not in pos]
-        worst_first = sorted(rest, key=lambda j: (sims[i, j], j))
+        worst_first = sorted(rest, key=lambda j: key(j, 1.0))
         poss.append(pos)
         negs.append(worst_first[:n_neg])
     return np.array(poss), np.array(negs)
@@ -281,6 +299,31 @@ def test_select_matches_oracle_with_a_nan_similarity():
         np.testing.assert_array_equal(pairs.positives, want_pos)
         np.testing.assert_array_equal(pairs.negatives, want_neg)
     assert pairs.negatives[7, -1] == 19
+
+
+def test_select_matches_oracle_with_nans_anywhere(monkeypatch):
+    # 5% of the entries NaN at random, the diagonal too: every row with a
+    # NaN candidate goes to the stable rule, which sorts NaN last
+    redone = _spy_stable_pairs(monkeypatch)
+    rng = np.random.default_rng(28)
+    g = _graph_from_features(rng.normal(size=(30, 5)))
+    nan = rng.random((30, 30)) < 0.05
+    g.sims.data[nan] = np.nan
+    _assert_selects_like_the_oracle(g.sims.data, 10.0, 40.0)
+    off_diagonal = nan & ~np.eye(30, dtype=bool)
+    assert redone and redone == list(np.flatnonzero(off_diagonal.any(axis=1)))
+    # selecting every candidate puts each row's NaNs last among its negatives
+    pairs = _assert_selects_like_the_oracle(g.sims.data, 10.0, 90.0)
+    picked = np.isnan(g.sims.data[np.arange(30)[:, None], pairs.negatives])
+    assert (picked.sum(axis=1) == off_diagonal.sum(axis=1)).all()
+    assert not (picked[:, :-1] & ~picked[:, 1:]).any()
+
+
+def test_oracle_counts_a_percentage_as_its_decimal():
+    # 4.4% of 750 candidates is 33 exactly; float rounding gives 34
+    assert math.ceil(4.4 * 750 / 100.0) == 34
+    assert oracle_counts(751, 4.4, 50.0)[0] == 33
+    assert oracle_counts(751, 4.4, 50.0) == pair_counts(751, 4.4, 50.0)
 
 
 def test_select_matches_oracle_with_ties_at_the_full_boundary():
@@ -540,14 +583,46 @@ def test_ggc_records_one_tape_node(include):
     before = len(tape._nodes)
     loss = ggc_loss(g, pairs, 0.5, include_positive_in_denominator=include)
     assert len(tape._nodes) == before + 1
-    assert tape._nodes[-1] is loss and loss._parents == (g.sims,)
+    assert tape._nodes[-1] is loss and loss._parents == (g.unit,)
+    assert g.sims.tape is None and g.unit.tape is tape
 
 
-def _ggc_values(loss_fn, views, tau, include, upstream):
-    """Loss and feature gradients, and the gradient of ``sims`` itself.
+def test_graph_similarities_die_with_the_graph():
+    # the global term's node keeps the unit rows, not the N x N matrix: it
+    # is freed when the step drops the graph, before the backward pass
+    rng = np.random.default_rng(29)
+    feats = [Tensor(rng.normal(size=(20, 4))) for _ in range(3)]
+    tape = Tape()
+    for t in feats:
+        tape.watch(t)
+    graph = build_global_graph(feats)
+    pairs = select_pairs(graph, 10.0, 40.0)
+    loss = ggc_loss(graph, pairs, 0.5)
+    probe = weakref.ref(graph.sims.data)
+    del graph, pairs
+    assert probe() is None
+    grads = backward(tape, loss)
+    assert all(np.isfinite(grads[t]).all() for t in feats)
 
-    The similarity matrix is differentiated as a watched leaf of its own,
-    so its gradient is compared before the graph's matmul mixes it.
+
+def _chain_ggc(graph, pairs, tau, include):
+    """The global term as the chain: the graph's Gram block formed on the
+    tape, then the gathers."""
+    return _reference_ggc(gram_chain(graph.unit, graph.size), pairs, tau,
+                          include)
+
+
+def _kernel_on_sims(sims, pairs, tau, include):
+    return pair_contrast(sims, pairs.positives, pairs.negatives, 1.0 / tau,
+                         include)
+
+
+def _ggc_values(loss_fn, sims_fn, views, tau, include, upstream):
+    """Loss and feature gradients, and the gradient of the similarities.
+
+    ``sims_fn`` runs the same term on the similarity matrix as a watched
+    leaf of its own, so its gradient is compared before the Gram product
+    mixes it.
     """
     tape = Tape()
     feats = [Tensor(x.copy()) for x in views]
@@ -559,11 +634,11 @@ def _ggc_values(loss_fn, views, tau, include, upstream):
     grads = backward(tape, loss)
     out = [loss.data] + [grads[t] for t in feats]
 
-    leaf = _manual_graph(g.sims.data.copy())
+    leaf = Tensor(g.sims.data.copy())
     tape = Tape()
-    tape.watch(leaf.sims)
-    sims_grad = backward(tape, nn.mul(loss_fn(leaf, pairs, tau, include),
-                                      upstream))[leaf.sims]
+    tape.watch(leaf)
+    sims_grad = backward(tape, nn.mul(sims_fn(leaf, pairs, tau, include),
+                                      upstream))[leaf]
     return out, sims_grad, pairs
 
 
@@ -587,10 +662,11 @@ def test_ggc_matches_the_gather_chain(include, monkeypatch):
     for views in (plain, [tied]):
         for tau in (0.5, 0.001):
             for upstream in (0.1, -0.1):
-                got, got_sims, _ = _ggc_values(ggc_loss, views, tau, include,
-                                               upstream)
-                want, want_sims, pairs = _ggc_values(_reference_ggc, views,
-                                                     tau, include, upstream)
+                got, got_sims, _ = _ggc_values(ggc_loss, _kernel_on_sims,
+                                               views, tau, include, upstream)
+                want, want_sims, pairs = _ggc_values(_chain_ggc, _reference_ggc,
+                                                     views, tau, include,
+                                                     upstream)
                 assert pairs.positives.shape[1] >= 6
                 atol = 1e-12 * abs(upstream) / tau
                 for g, w in zip(got, want):
@@ -608,18 +684,19 @@ def test_ggc_include_positive_allocates_as_the_default():
     # the variant reuses each anchor's negative log-sum-exp, so it builds
     # nothing of N * k rows: a 657-row graph at (1%, 50%), k = 7, m = 328
     rng = np.random.default_rng(11)
-    g = build_global_graph([Tensor(rng.normal(size=(219, 16)))
-                            for _ in range(3)])
-    pairs = select_pairs(g, 1.0, 50.0)
-    assert pairs.positives.shape == (657, 7)
-    leaf = _manual_graph(g.sims.data)
+    views = [rng.normal(size=(219, 16)) for _ in range(3)]
 
     def peak(include):
         tape = Tape()
-        tape.watch(leaf.sims)
+        feats = [Tensor(x) for x in views]
+        for t in feats:
+            tape.watch(t)
+        g = build_global_graph(feats)
+        pairs = select_pairs(g, 1.0, 50.0)
+        assert pairs.positives.shape == (657, 7)
         tracemalloc.start()
         try:
-            backward(tape, ggc_loss(leaf, pairs, 0.5, include))
+            backward(tape, ggc_loss(g, pairs, 0.5, include))
             _, top = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -798,21 +875,22 @@ def test_lwc_total_records_one_pair_contrast_node_per_pair(monkeypatch):
           (0, 2): (np.array([2]), np.array([2])),      # skipped: 1 row
           (1, 2): (np.array([1, 4, 5]), np.array([1, 4, 5]))}
     calls = []
-    real = nn.pair_contrast
+    real = nn.gram_contrast
 
     def spy(a, *args, **kwargs):
         out = real(a, *args, **kwargs)
         calls.append((a, out))
         return out
 
-    monkeypatch.setattr(nn, "pair_contrast", spy)
+    monkeypatch.setattr(nn, "gram_contrast", spy)
     tape = Tape()
     for t in h:
         tape.watch(t)
     lwc_total(h, co, 0.5)
-    assert [a.shape for a, _ in calls] == [(6, 12), (3, 6)]
-    for sims, out in calls:
-        assert out in tape._nodes and out._parents == (sims,)
+    # each node's parent is the pair's stack of unit rows [u; v]
+    assert [a.shape for a, _ in calls] == [(12, 3), (6, 3)]
+    for unit, out in calls:
+        assert out in tape._nodes and out._parents == (unit,)
 
 
 def test_lwc_all_ones_weights_equal_unweighted():

@@ -16,11 +16,11 @@ from glc import nn
 from glc.errors import ShapeError
 from glc.nn import (_BLOCK, ADAM_BETA1, ADAM_BETA2, ADAM_EPS, AdamState,
                     Layer, Mlp, Tape, Tensor, adam_step, add, backward,
-                    concat_rows, dense, div, grad_check, matmul, mlp_forward,
-                    mul, record_segments, segment_pool, sqrt, sub, take_rows,
-                    transpose, tsum)
+                    concat_rows, dense, div, grad_check, mlp_forward, mul,
+                    record_segments, segment_pool, sqrt, sub, take_rows, tsum)
 from reference_chain import (concat_cols, gather_cols, gather_pairs,
-                             logsumexp_rows, reference_dense, relu)
+                             gram_chain, logsumexp_rows, matmul,
+                             pair_contrast, reference_dense, relu, transpose)
 
 
 def _identity_layer(n, activation="identity"):
@@ -352,16 +352,16 @@ def test_pair_contrast_rejects_mismatched_shapes():
         t = Tensor(rows.copy())
         tape = Tape()
         tape.watch(t)
-        loss = nn.pair_contrast(t, pos, neg, 2.0)
+        loss = pair_contrast(t, pos, neg, 2.0)
         results.append((loss.item(), backward(tape, loss)[t]))
     (wide, g_wide), (row, g_row), (square, g_square) = results
     np.testing.assert_allclose(wide + row, square, rtol=1e-15)
     assert g_square.tobytes() == np.vstack([g_wide, g_row]).tobytes()
     with pytest.raises(ShapeError):
-        nn.pair_contrast(Tensor(np.zeros((2, 2))), *sets, 1.0)
+        pair_contrast(Tensor(np.zeros((2, 2))), *sets, 1.0)
     with pytest.raises(ShapeError):
-        nn.pair_contrast(Tensor(np.zeros((3, 3))), sets[0].reshape(-1),
-                         sets[1], 1.0)
+        pair_contrast(Tensor(np.zeros((3, 3))), sets[0].reshape(-1),
+                      sets[1], 1.0)
 
 
 def _cross_view_mask(n):
@@ -397,8 +397,8 @@ def test_pair_contrast_mask_is_byte_equal_to_its_indices(sets, scale,
         t = Tensor(x.copy())
         tape = Tape()
         tape.watch(t)
-        loss = nn.mul(nn.pair_contrast(t, positives, negatives, scale,
-                                       include), -0.3)
+        loss = nn.mul(pair_contrast(t, positives, negatives, scale,
+                                    include), -0.3)
         results.append((loss.data.tobytes(), backward(tape, loss)[t]))
     (value, grad), (want, want_grad) = results
     assert value == want
@@ -411,12 +411,112 @@ def test_pair_contrast_mask_is_byte_equal_to_its_indices(sets, scale,
 def test_pair_contrast_rejects_a_mask_with_unequal_counts():
     positives, mask = _cross_view_mask(4)
     x = Tensor(np.zeros(mask.shape))
-    nn.pair_contrast(x, positives, mask, 1.0)
+    pair_contrast(x, positives, mask, 1.0)
     mask[2, 2] = True                  # row 2 reads one entry more
     with pytest.raises(ShapeError):
-        nn.pair_contrast(x, positives, mask, 1.0)
+        pair_contrast(x, positives, mask, 1.0)
     with pytest.raises(ShapeError):
-        nn.pair_contrast(x, positives, mask[:, :-1], 1.0)
+        pair_contrast(x, positives, mask[:, :-1], 1.0)
+
+
+def _square_sets(n, rng):
+    # per row, 2 positives and 5 index negatives among the other columns
+    order = np.argsort(rng.random((n, n)) + 2.0 * np.eye(n), axis=1)
+    return order[:, :2], order[:, 2:7]
+
+
+def _gram_case(form, n, rng):
+    """Unit rows, their partner sets and the Gram block the node is given:
+    the global term's square block with its diagonal pinned to 1, or a
+    cross-view prefix block of the first n/2 rows, formed in the node."""
+    x = rng.normal(size=(n, 4))
+    unit = x / np.linalg.norm(x, axis=1, keepdims=True)
+    if form == "square":
+        sims = unit @ unit.T
+        np.fill_diagonal(sims, 1.0)
+        return unit, *_square_sets(n, rng), sims
+    return unit, *_cross_view_mask(n // 2), None
+
+
+@pytest.mark.parametrize("include", [False, True])
+@pytest.mark.parametrize("scale", [2.0, 1000.0])
+@pytest.mark.parametrize("upstream", [-0.3, -0.0])
+@pytest.mark.parametrize("form", ["square", "prefix"])
+def test_gram_contrast_is_byte_equal_to_the_matmul_chain(form, upstream,
+                                                         scale, include):
+    # the chain formed the block on the tape (matmul of the rows and their
+    # transpose, the prefix's rows gathered by take_rows, the square
+    # block's diagonal pinned in place) and ran pair_contrast on it; at
+    # scale 1000 some softmax entries underflow to 0
+    unit, positives, negatives, sims = _gram_case(form, 12,
+                                                  np.random.default_rng(30))
+    m = positives.shape[0]
+    results = []
+    for kernel in (True, False):
+        t = Tensor(unit.copy())
+        tape = Tape()
+        tape.watch(t)
+        if kernel:
+            node = nn.gram_contrast(t, positives, negatives, scale, include,
+                                    sims=sims)
+            assert len(tape._nodes) == 1 and node._parents == (t,)
+        else:
+            block = gram_chain(t, m)
+            if sims is not None:
+                np.fill_diagonal(block.data, 1.0)
+            node = pair_contrast(block, positives, negatives, scale,
+                                 include)
+        loss = nn.mul(node, upstream)
+        results.append((loss.data.tobytes(), backward(tape, loss)[t]))
+    (value, grad), (want, want_grad) = results
+    assert value == want
+    assert grad.tobytes() == want_grad.tobytes()
+    if upstream != 0.0:
+        # every row gets a gradient, also the rows past a prefix block
+        assert (np.abs(grad).sum(axis=1) > 0.0).all()
+
+
+def test_gram_contrast_checks_the_block_shape():
+    unit = Tensor(np.eye(4))
+    positives, negatives = _cross_view_mask(2)
+    nn.gram_contrast(unit, positives, negatives, 1.0)
+    with pytest.raises(ShapeError):
+        nn.gram_contrast(unit, positives, negatives, 1.0, sims=np.eye(2, 3))
+    with pytest.raises(ShapeError):
+        nn.gram_contrast(Tensor(np.ones(4)), positives, negatives, 1.0)
+
+
+def _saved_arrays(fn):
+    """The arrays a closure keeps, also through the functions it keeps."""
+    found = []
+    for cell in fn.__closure__ or ():
+        value = cell.cell_contents
+        if isinstance(value, np.ndarray):
+            found.append(value)
+        elif callable(value) and getattr(value, "__closure__", None):
+            found += _saved_arrays(value)
+    return found
+
+
+def test_backward_frees_what_a_node_saved_once_it_is_swept():
+    # the tape keeps listing its nodes (a benchmark counts them after
+    # backward) but no longer their VJP closures: the saved softmax goes
+    # as the sweep passes its node, not with the tape
+    rng = np.random.default_rng(31)
+    t = Tensor(rng.normal(size=(8, 3)))
+    tape = Tape()
+    tape.watch(t)
+    positives, mask = _cross_view_mask(4)
+    node = nn.gram_contrast(t, positives, mask, 2.0)
+    loss = nn.mul(node, 0.5)
+    (softmax,) = [a for a in _saved_arrays(node._vjp) if a.shape == (4, 6)]
+    probe = weakref.ref(softmax)
+    del softmax
+    nodes = list(tape._nodes)
+    backward(tape, loss)
+    assert probe() is None
+    assert tape._nodes == nodes and len(nodes) == 2
+    assert all(n._vjp is None for n in nodes)
 
 
 def _dense_fixture():

@@ -12,7 +12,8 @@ import pytest
 from glc import model as model_module
 from glc import nn, pipeline
 from glc.config import PROFILES, Config
-from glc.data import MultiViewDataset, generate_missing_mask, make_synthetic
+from glc.data import (MultiViewDataset, generate_missing_mask, iter_epoch,
+                      make_synthetic)
 from glc.errors import ConfigError, ShapeError, TrainingAborted
 from glc.model import model_parameters, save_checkpoint
 from glc.pipeline import (ClusterReport, TrainHistory, build_model, evaluate,
@@ -304,11 +305,11 @@ def test_a_view_error_on_its_worker_surfaces_and_no_thread_remains(
     forward_view = model_module._forward_view
     calls = []
 
-    def fail_on_a_worker(view, x, tape):
+    def fail_on_a_worker(view, x, contrast, tape):
         calls.append(threading.current_thread().name)
         if threading.current_thread() is not threading.main_thread():
             raise RuntimeError("view forward failed")
-        return forward_view(view, x, tape)
+        return forward_view(view, x, contrast, tape)
 
     monkeypatch.setattr(model_module, "_forward_view", fail_on_a_worker)
     threads = threading.enumerate()
@@ -338,15 +339,58 @@ def test_desk_training_starts_no_thread(monkeypatch):
     assert threading.enumerate() == threads
 
 
+@pytest.mark.parametrize("joint, alpha, beta, heads_run", [
+    (False, 1.0, 1.0, False),       # the warm-up
+    (True, 0.0, 0.0, False),        # a rec row's joint phase
+    (True, 1.0, 0.0, True),
+    (True, 0.0, 1.0, True),
+])
+def test_a_step_runs_the_heads_only_for_a_contrastive_term(
+        monkeypatch, joint, alpha, beta, heads_run):
+    ds = _tiny_dataset(seed=15)
+    cfg = _desk_config(alpha=alpha, beta=beta).resolved()
+    model = build_model(ds, cfg)
+    heads = {id(p) for view in model for p in view.head.parameters()}
+    tapes = []
+    real = pipeline.backward
+
+    def keep_tape(tape, loss, updates=None):
+        tapes.append(tape)
+        return real(tape, loss, updates)
+
+    monkeypatch.setattr(pipeline, "backward", keep_tape)
+    views = [view.parameters() for view in model]
+    states = [nn.AdamState.for_params(p, learning_rate=cfg.lr) for p in views]
+    handed = []
+
+    def logging(update):
+        return lambda param, grad: (handed.append(id(param)),
+                                    update(param, grad))
+
+    updates = [logging(state.by_param(params))
+               for state, params in zip(states, views)]
+    batch = next(iter_epoch(ds, cfg.batch, np.random.default_rng(0)))
+    before = [p.data.copy() for view in model for p in view.head.parameters()]
+    pipeline._step(model, batch, cfg, None, states, updates, joint, 1, 0)
+    (tape,) = tapes
+    consumed = {id(parent) for node in tape._nodes for parent in node._parents}
+    assert bool(heads & consumed) == heads_run
+    assert bool(heads & set(handed)) == heads_run
+    assert len(handed) == sum(map(len, views)) - (0 if heads_run else len(heads))
+    if not heads_run:
+        after = [p.data for view in model for p in view.head.parameters()]
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(before, after))
+
+
 def _assert_each_step_is_freed(monkeypatch, cfg):
     ds = _tiny_dataset(seed=13)
     forward = pipeline.forward_views
     earlier, alive = [], []
 
-    def watch(model, batch, tape=None):
+    def watch(model, batch, tape=None, contrast=True):
         # reference counting alone must free the previous step
         alive.append(sum(ref() is not None for ref in earlier))
-        feats = forward(model, batch, tape)
+        feats = forward(model, batch, tape, contrast)
         earlier.extend(weakref.ref(f) for f in feats)
         return feats
 
