@@ -330,13 +330,20 @@ def _run_cells(cfg, cells, out_root):
     """Run (setting, rate, ablation) cells, honoring GLC_THREADS.
 
     Returns the per-cell result dicts plus the overall exit code (0 when
-    every cell succeeded, otherwise the largest per-cell code).
+    every cell succeeded, otherwise the largest per-cell code).  Cells that
+    would share a directory (names print rates to 6 digits) are a
+    ConfigError, raised before any cell starts.
     """
     workers = _cell_workers()
-    jobs = []
+    jobs, names = [], set()
     for setting, rate, ablation in cells:
-        sub = out_root / "cells" / f"{setting}_{rate:g}_{ablation}"
-        jobs.append((cfg, setting, rate, ablation, str(sub)))
+        name = f"{setting}_{rate:g}_{ablation}"
+        if name in names:
+            raise ConfigError(f"two cells would share the output directory "
+                              f"cells/{name}")
+        names.add(name)
+        jobs.append((cfg, setting, rate, ablation,
+                     str(out_root / "cells" / name)))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=min(workers, len(jobs))) as pool:
             results = list(pool.map(_cell_worker, jobs))

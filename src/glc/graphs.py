@@ -21,20 +21,22 @@ not distinct and finite once those bits are cleared (a tie, a near-tie, a
 NaN or an infinity) is selected again by two stable sorts, so ties always
 go to the lower index.  Both terms are one tape node each,
 :func:`glc.nn.gram_contrast`, whose parent is a stack of unit-norm feature
-rows: the global term reads the selected entries of the graph's N x N
-similarities, the cross-view term forms a view pair's (n, 2n) block
-``[s_uu | s_uv]`` inside its node, with the same sample in the other view
-as each anchor's positive and a boolean mask of every other column as its
-negatives.  The closed-form VJP writes the gradients into one buffer of the
-block's shape and multiplies it by the unit rows.
-Gradients flow only through the similarity entries that the pair sets
-select, never through set membership itself.
+rows, one :func:`glc.nn.unit_rows` node on all views' rows for the global
+term and on a view pair's co-available rows for the cross-view term.  The
+global term reads the selected entries of the graph's N x N similarities;
+the cross-view term forms a view pair's (n, 2n) block ``[s_uu | s_uv]``
+inside its node, with the same sample in the other view as each anchor's
+positive and a boolean mask of every other column as its negatives.  The
+closed-form VJP writes the gradients into one buffer of the block's shape
+and multiplies it by the unit rows.  Gradients flow only through the
+similarity entries that the pair sets select, never through set
+membership itself.
 
 What a joint step holds: the graph's similarities are off the tape, so
 they are freed as soon as the step drops the graph, before the backward
 pass; a cross-view block lives only inside its node's forward pass.  The
-tape keeps each term's unit rows and the softmax over its negatives, and
-the sweep frees that softmax once it has passed the node.
+tape keeps each term's stack, its unit rows and the softmax over its
+negatives, and the sweep frees that softmax once it has passed the node.
 """
 
 import logging
@@ -55,15 +57,6 @@ def _as_tensor(x):
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
-def _normalize_rows(t):
-    """Scale each row to unit Euclidean norm (differentiable)."""
-    sq = nn.tsum(nn.mul(t, t), axis=1, keepdims=True)
-    norms = nn.sqrt(sq)
-    if np.any(norms.data == 0.0):
-        raise NumericError("zero-norm feature row (degenerate embedding)")
-    return nn.div(t, norms)
-
-
 # ---------------------------------------------------------------------------
 # global graph and pair selection
 # ---------------------------------------------------------------------------
@@ -72,8 +65,9 @@ def _normalize_rows(t):
 class GlobalAffinityGraph:
     """Cosine similarities over the stacked per-view features.
 
-    ``unit`` is the stack of unit-norm feature rows, on the tape; the
-    global term differentiates through it.  ``sims`` is ``unit @ unit.T``
+    ``unit`` is the stack of unit-norm feature rows, one
+    :func:`glc.nn.unit_rows` node on the tape; the global term
+    differentiates through it.  ``sims`` is ``unit @ unit.T``
     with the diagonal pinned to 1, off the tape: pair selection reads it,
     the global term reads its selected entries in the forward pass only,
     and no node keeps it, so it is freed with the graph.  ``owners[r]``
@@ -112,7 +106,7 @@ def build_global_graph(view_features, positions=None):
     if not parts:
         raise ShapeError("no features available in any view")
     stack = nn.concat_rows(parts) if len(parts) > 1 else parts[0]
-    unit = _normalize_rows(stack)
+    unit = nn.unit_rows(stack)
     sims = unit.data @ unit.data.T
     # self-similarity is 1 by definition; the entry never reaches a loss
     # (pair selection excludes the diagonal)
@@ -338,7 +332,7 @@ def pairwise_contrastive_loss(h_u, h_v, temperature):
     if n < 2:
         logger.warning("cross-view contrast skipped: %d co-available rows", n)
         return Tensor(0.0)
-    stack = _normalize_rows(nn.concat_rows([h_u, h_v]))    # (2n, d)
+    stack = nn.unit_rows(nn.concat_rows([h_u, h_v]))       # (2n, d)
     idx = np.arange(n)
     keep = np.ones((n, 2 * n), dtype=bool)
     keep[idx, idx] = False                                # the anchor itself
@@ -366,7 +360,7 @@ def lwc_loss(h_u, h_v, weights, temperature):
                            "(kernel underflow or bad kernel width)")
     loss = pairwise_contrastive_loss(h_u, h_v, temperature)
     # the weighting term -sum(log w_i): a constant, so no gradient
-    return nn.sub(loss, Tensor(float(np.sum(np.log(diag)))))
+    return nn.add(loss, Tensor(-float(np.sum(np.log(diag)))))
 
 
 def lwc_total(h_list, co_available, temperature):

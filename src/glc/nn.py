@@ -5,7 +5,10 @@ scalars).  ``Tensor`` wraps one array together with the bookkeeping for
 reverse-mode differentiation: while a ``Tape`` is attached, each operation
 appends a node, and ``backward`` replays the nodes in reverse order to
 accumulate a gradient for every watched parameter.  The op set is exactly
-what dense MLPs, affinity graphs and InfoNCE need.  :func:`dense` records
+what dense MLPs, affinity graphs and InfoNCE need.  :func:`unit_rows` is
+byte-equal to the ``mul``, ``tsum``, ``sqrt`` and ``div`` nodes it replaced,
+:func:`sq_error` to ``sub``, ``mul`` and ``tsum`` (the retired ops are kept
+in ``tests/reference_chain.py``).  :func:`dense` records
 a whole layer (product, bias and optional ReLU) as one node with one
 activation-sized output; it replaced the four nodes ``transpose``,
 ``matmul``, ``add`` and ``relu`` per layer (that chain is kept in
@@ -173,16 +176,6 @@ def add(a, b):
     return _attach(a.data + b.data, (a, b), vjp)
 
 
-def sub(a, b):
-    a, b = _wrap(a), _wrap(b)
-
-    def vjp(g):
-        return (_unbroadcast(g, a.data.shape) if a.requires_grad else None,
-                _unbroadcast(-g, b.data.shape) if b.requires_grad else None)
-
-    return _attach(a.data - b.data, (a, b), vjp)
-
-
 def mul(a, b):
     a, b = _wrap(a), _wrap(b)
 
@@ -193,43 +186,38 @@ def mul(a, b):
     return _attach(a.data * b.data, (a, b), vjp)
 
 
-def div(a, b):
-    a, b = _wrap(a), _wrap(b)
+def unit_rows(t):
+    """Each row of a 2-D tensor scaled to unit norm, as one node; a row of
+    norm 0 raises ``NumericError``.  It replays the ``mul``, ``tsum``,
+    ``sqrt``, ``div`` chain: the gradient adds ``div``'s part, then
+    ``mul``'s two, as that chain's sweep did, so value and gradient are
+    byte-equal to it while no later node also consumes ``t``.
+    """
+    t = _wrap(t)
+    x = t.data
+    norms = np.sqrt(np.sum(x * x, axis=1, keepdims=True))
+    if np.any(norms == 0.0):
+        raise NumericError("zero-norm feature row (degenerate embedding)")
 
     def vjp(g):
-        ga = _unbroadcast(g / b.data, a.data.shape) if a.requires_grad else None
-        gb = None
-        if b.requires_grad:
-            gb = _unbroadcast(-g * a.data / (b.data * b.data), b.data.shape)
-        return ga, gb
+        gb = _unbroadcast(-g * x / (norms * norms), norms.shape)
+        gm = (gb * (0.5 / norms)) * x
+        return ((g / norms + gm) + gm,)
 
-    return _attach(a.data / b.data, (a, b), vjp)
+    return _attach(x / norms, (t,), vjp)
 
 
-def sqrt(a):
-    a = _wrap(a)
-    out = np.sqrt(a.data)
-
-    def vjp(g):
-        return (g * (0.5 / out) if a.requires_grad else None,)
-
-    return _attach(out, (a,), vjp)
-
-
-def tsum(a, axis=None, keepdims=False):
-    """Sum over all entries (axis=None) or along one axis."""
-    a = _wrap(a)
-    shape = a.data.shape
+def sq_error(pred, x):
+    """``sum((pred - x) ** 2)`` as one node, ``x`` a constant; its VJP adds
+    ``mul``'s two equal parts, as the chain it replaces did."""
+    pred = _wrap(pred)
+    diff = pred.data - np.asarray(x, dtype=np.float64)
 
     def vjp(g):
-        if not a.requires_grad:
-            return (None,)
-        if axis is None:
-            return (np.full(shape, float(g)),)
-        gg = g if keepdims else np.expand_dims(g, axis)
-        return (np.broadcast_to(gg, shape).copy(),)
+        gd = float(g) * diff
+        return (gd + gd,)
 
-    return _attach(np.sum(a.data, axis=axis, keepdims=keepdims), (a,), vjp)
+    return _attach(np.sum(diff * diff), (pred,), vjp)
 
 
 def concat_rows(parts):

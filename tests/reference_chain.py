@@ -14,16 +14,77 @@ match :func:`pair_contrast` on :func:`gram_chain`, the ``matmul`` and
 ``transpose`` (and, for a prefix block, ``take_rows``) nodes that formed
 the block on the tape, byte for byte.  ``glc.nn.dense`` is one node per
 layer; it must match :func:`reference_dense`, the ``transpose``,
-``matmul``, ``add`` and :func:`relu` chain, byte for byte.  Each op records
-a node on the tape like any ``glc.nn`` op.
+``matmul``, ``add`` and :func:`relu` chain, byte for byte.
+``glc.nn.unit_rows`` must match :func:`_normalize_rows`, the ``mul``,
+:func:`tsum`, :func:`sqrt` and :func:`div` chain, and ``glc.nn.sq_error``
+the :func:`sub`, ``mul`` and :func:`tsum` chain, byte for byte.  Each op
+records a node on the tape like any ``glc.nn`` op.
 """
 
 import numpy as np
 
 from glc import nn
-from glc.errors import ShapeError
-from glc.graphs import _normalize_rows
-from glc.nn import _attach, _contrast, _nonneg, _scatter_add, _wrap
+from glc.errors import NumericError, ShapeError
+from glc.nn import (_attach, _contrast, _nonneg, _scatter_add, _unbroadcast,
+                    _wrap)
+
+
+def sub(a, b):
+    a, b = _wrap(a), _wrap(b)
+
+    def vjp(g):
+        return (_unbroadcast(g, a.data.shape) if a.requires_grad else None,
+                _unbroadcast(-g, b.data.shape) if b.requires_grad else None)
+
+    return _attach(a.data - b.data, (a, b), vjp)
+
+
+def div(a, b):
+    a, b = _wrap(a), _wrap(b)
+
+    def vjp(g):
+        ga = _unbroadcast(g / b.data, a.data.shape) if a.requires_grad else None
+        gb = None
+        if b.requires_grad:
+            gb = _unbroadcast(-g * a.data / (b.data * b.data), b.data.shape)
+        return ga, gb
+
+    return _attach(a.data / b.data, (a, b), vjp)
+
+
+def sqrt(a):
+    a = _wrap(a)
+    out = np.sqrt(a.data)
+
+    def vjp(g):
+        return (g * (0.5 / out) if a.requires_grad else None,)
+
+    return _attach(out, (a,), vjp)
+
+
+def tsum(a, axis=None, keepdims=False):
+    """Sum over all entries (axis=None) or along one axis."""
+    a = _wrap(a)
+    shape = a.data.shape
+
+    def vjp(g):
+        if not a.requires_grad:
+            return (None,)
+        if axis is None:
+            return (np.full(shape, float(g)),)
+        gg = g if keepdims else np.expand_dims(g, axis)
+        return (np.broadcast_to(gg, shape).copy(),)
+
+    return _attach(np.sum(a.data, axis=axis, keepdims=keepdims), (a,), vjp)
+
+
+def _normalize_rows(t):
+    """Scale each row to unit Euclidean norm as the four nodes it once was."""
+    sq = tsum(nn.mul(t, t), axis=1, keepdims=True)
+    norms = sqrt(sq)
+    if np.any(norms.data == 0.0):
+        raise NumericError("zero-norm feature row (degenerate embedding)")
+    return div(t, norms)
 
 
 def matmul(a, b):
@@ -197,7 +258,7 @@ def reference_ggc(sims, pairs, temperature, include_positive):
         den = logsumexp_rows(nn.mul(
             gather_cols(sims, pairs.negatives), inv_t))
         per_pair_den = nn.take_rows(den, anchors)
-    return nn.sub(nn.tsum(per_pair_den), nn.tsum(nn.mul(pos_vals, inv_t)))
+    return sub(tsum(per_pair_den), tsum(nn.mul(pos_vals, inv_t)))
 
 
 def reference_pairwise(h_u, h_v, temperature):
@@ -223,7 +284,7 @@ def reference_pairwise(h_u, h_v, temperature):
     den = logsumexp_rows(nn.mul(sims, inv_t), keep)       # (n,)
 
     pos = gather_pairs(s_uv, idx, idx)
-    return nn.sub(nn.tsum(den), nn.tsum(nn.mul(pos, inv_t)))
+    return sub(tsum(den), tsum(nn.mul(pos, inv_t)))
 
 
 def offset_pairwise(h_u, h_v, temperature):

@@ -213,6 +213,12 @@ def test_train_with_one_shared_synthetic_width(tmp_path, fast_cfg):
     ("train", {}, ["--dataset", "synthetic:n=-3,v=2,k=3"]),
     ("train", {}, ["--dataset", "synthetic:n=30,v=2,k=3,dims=0|4"]),
     ("train", {}, ["--dataset", "synthetic:n=30,v=2,k=3,seed=-1"]),
+    # grids whose cells would share a directory; names print the rate with
+    # :g, so 0.3 and 0.3000001 are one
+    ("sweep", {"settings": ["noise", "noise"]}, ["--rates", "0.2,0.2"]),
+    ("sweep", {"ablations": ["rec", "full", "rec"]}, ["--rates", "0.3"]),
+    ("sweep", {}, ["--rates", "0.3,0.3000001"]),
+    ("ablate", {"settings": ["noise", "combined", "noise"]}, []),
 ])
 def test_bad_config_exits_1_before_any_cell(tmp_path, command, config, extra):
     # run as a process, so an uncaught exception would show as a traceback
@@ -227,8 +233,8 @@ def test_bad_config_exits_1_before_any_cell(tmp_path, command, config, extra):
          "--profile", "desk", "--config", str(path), "--out", str(out),
          *extra], capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 1, proc.stderr
-    assert "config error:" in proc.stderr
-    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("config error:")
+    assert proc.stderr.count("\n") == 1
     assert not (out / "cells").exists()
 
 

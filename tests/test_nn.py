@@ -13,14 +13,16 @@ import numpy as np
 import pytest
 
 from glc import nn
-from glc.errors import ShapeError
+from glc.errors import NumericError, ShapeError
 from glc.nn import (_BLOCK, ADAM_BETA1, ADAM_BETA2, ADAM_EPS, AdamState,
                     Layer, Mlp, Tape, Tensor, adam_step, add, backward,
-                    concat_rows, dense, div, grad_check, mlp_forward, mul,
-                    record_segments, segment_pool, sqrt, sub, take_rows, tsum)
-from reference_chain import (concat_cols, gather_cols, gather_pairs,
-                             gram_chain, logsumexp_rows, matmul,
-                             pair_contrast, reference_dense, relu, transpose)
+                    concat_rows, dense, grad_check, mlp_forward, mul,
+                    record_segments, segment_pool, sq_error, take_rows,
+                    unit_rows)
+from reference_chain import (_normalize_rows, concat_cols, div, gather_cols,
+                             gather_pairs, gram_chain, logsumexp_rows, matmul,
+                             pair_contrast, reference_dense, relu, sqrt, sub,
+                             transpose, tsum)
 
 
 def _identity_layer(n, activation="identity"):
@@ -517,6 +519,66 @@ def test_backward_frees_what_a_node_saved_once_it_is_swept():
     assert probe() is None
     assert tape._nodes == nodes and len(nodes) == 2
     assert all(n._vjp is None for n in nodes)
+
+
+def _byte_run(node_fn, x, weights):
+    """Value and gradient, as bytes, of ``sum(node_fn(t) * weights)`` on a
+    watched leaf ``t`` holding ``x``; the weights reach the node through
+    ``nn.mul``."""
+    t = Tensor(x.copy())
+    tape = Tape()
+    tape.watch(t)
+    out = node_fn(t)
+    loss = tsum(mul(out, weights))
+    return out.data.tobytes(), loss.data.tobytes(), \
+        backward(tape, loss)[t].tobytes()
+
+
+@pytest.mark.parametrize("upstream", [-0.0, 1e-300, 1e300])
+@pytest.mark.parametrize("shape", [(6, 4), (1, 4), (6, 1)])
+def test_unit_rows_is_byte_equal_to_the_four_node_chain(shape, upstream):
+    # one row or one column: one of _unbroadcast's sums has nothing to add
+    rng = np.random.default_rng(32)
+    x = rng.normal(size=shape)
+    if shape[1] > 1:
+        x[:, 1] = -0.0                  # every row holds a -0.0
+    weights = upstream * rng.choice([1.0, -1.0, 3.0], size=shape)
+    got = _byte_run(unit_rows, x, weights)
+    assert got == _byte_run(_normalize_rows, x, weights)
+
+
+@pytest.mark.parametrize("upstream", [-0.0, 1e-300, 1e300, -0.3])
+def test_sq_error_is_byte_equal_to_sub_mul_tsum(upstream):
+    rng = np.random.default_rng(33)
+    pred = rng.normal(size=(5, 3))
+    x = rng.normal(size=(5, 3))
+    pred[0], x[0] = -0.0, 0.0           # differences of -0.0
+    x[1] = pred[1]                      # and of +0.0
+
+    def chain(t):
+        diff = sub(t, Tensor(x))
+        return tsum(mul(diff, diff))
+
+    got = _byte_run(lambda t: sq_error(t, x), pred, upstream)
+    assert got == _byte_run(chain, pred, upstream)
+
+
+def test_unit_rows_rejects_a_zero_norm_row():
+    for requires_grad in (True, False):
+        t = Tensor(np.array([[1.0, 2.0], [0.0, -0.0]]))
+        if requires_grad:
+            Tape().watch(t)
+        with pytest.raises(NumericError):
+            unit_rows(t)
+
+
+def test_nodes_on_a_constant_input_record_nothing():
+    tape = Tape()
+    tape.watch(Tensor(np.ones(2)))
+    x = Tensor(np.array([[3.0, 4.0], [1.0, 0.0]]))
+    for out in (unit_rows(x), sq_error(x, np.zeros((2, 2)))):
+        assert out.tape is None and not out.requires_grad
+    assert tape._nodes == []
 
 
 def _dense_fixture():

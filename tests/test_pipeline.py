@@ -5,12 +5,14 @@ import math
 import sys
 import threading
 import weakref
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from glc import model as model_module
 from glc import nn, pipeline
+from glc.cli import corrupt_dataset, resolve_dataset
 from glc.config import PROFILES, Config
 from glc.data import (MultiViewDataset, generate_missing_mask, iter_epoch,
                       make_synthetic)
@@ -380,6 +382,39 @@ def test_a_step_runs_the_heads_only_for_a_contrastive_term(
     if not heads_run:
         after = [p.data for view in model for p in view.head.parameters()]
         assert all(a.tobytes() == b.tobytes() for a, b in zip(before, after))
+
+
+@pytest.mark.parametrize("joint, census", [
+    (False, {"dense": 18, "sq_error": 3, "add": 3}),
+    (True, {"dense": 24, "gram_contrast": 4, "unit_rows": 4, "sq_error": 3,
+            "take_rows": 6, "concat_rows": 4, "add": 8, "mul": 2}),
+])
+def test_a_desk_step_records_its_node_census(monkeypatch, joint, census):
+    # gate 6's combined cell: per view 3 encoder, 3 decoder and 2 head
+    # layers; the global term and 3 view pairs, each on its unit rows
+    cfg = Config(profile="desk", seed=4, batch=256,
+                 dataset="synthetic:n=300,v=3,k=3,dims=20|20|20,sep=1.0")
+    cfg = cfg.resolved()
+    base, _ = resolve_dataset(cfg, cfg.seed)
+    ds = corrupt_dataset(base, "combined", 0.3, cfg.noise_std, cfg.seed)
+    model = build_model(ds, cfg)
+    counts = []
+    real = pipeline.backward
+
+    def count(tape, loss, updates=None):
+        # the sweep drops each node's VJP, so read them before it runs
+        counts.append(Counter(node._vjp.__qualname__.split(".")[0]
+                              for node in tape._nodes))
+        return real(tape, loss, updates)
+
+    monkeypatch.setattr(pipeline, "backward", count)
+    views = [view.parameters() for view in model]
+    states = [nn.AdamState.for_params(p, learning_rate=cfg.lr) for p in views]
+    updates = [state.by_param(p) for state, p in zip(states, views)]
+    batch = next(iter_epoch(ds, cfg.batch, np.random.default_rng(0)))
+    pipeline._step(model, batch, cfg, None, states, updates, joint, 1, 0)
+    assert counts == [Counter(census)]
+    assert sum(census.values()) == (55 if joint else 24)
 
 
 def _assert_each_step_is_freed(monkeypatch, cfg):
