@@ -331,17 +331,19 @@ def _run_cells(cfg, cells, out_root):
 
     Returns the per-cell result dicts plus the overall exit code (0 when
     every cell succeeded, otherwise the largest per-cell code).  Cells that
-    would share a directory (names print rates to 6 digits) are a
-    ConfigError, raised before any cell starts.
+    would share a directory (names print rates to 6 significant digits) or
+    their seeds (seeds take rates to 6 decimals) are a ConfigError, raised
+    before any cell starts.
     """
     workers = _cell_workers()
-    jobs, names = [], set()
+    jobs, taken = [], set()
     for setting, rate, ablation in cells:
         name = f"{setting}_{rate:g}_{ablation}"
-        if name in names:
-            raise ConfigError(f"two cells would share the output directory "
-                              f"cells/{name}")
-        names.add(name)
+        key = (setting, f"{rate:.6f}", ablation)    # what the seeds read
+        if name in taken or key in taken:
+            raise ConfigError(f"two cells would share the directory or the "
+                              f"seeds of cells/{name}")
+        taken |= {name, key}
         jobs.append((cfg, setting, rate, ablation,
                      str(out_root / "cells" / name)))
     if workers > 1:

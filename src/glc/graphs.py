@@ -19,24 +19,21 @@ its similarity, sorts each anchor's row of the graph once by value and
 reads both partner sets off the packed bits; a row whose candidates are
 not distinct and finite once those bits are cleared (a tie, a near-tie, a
 NaN or an infinity) is selected again by two stable sorts, so ties always
-go to the lower index.  Both terms are one tape node each,
-:func:`glc.nn.gram_contrast`, whose parent is a stack of unit-norm feature
-rows, one :func:`glc.nn.unit_rows` node on all views' rows for the global
-term and on a view pair's co-available rows for the cross-view term.  The
-global term reads the selected entries of the graph's N x N similarities;
-the cross-view term forms a view pair's (n, 2n) block ``[s_uu | s_uv]``
-inside its node, with the same sample in the other view as each anchor's
-positive and a boolean mask of every other column as its negatives.  The
-closed-form VJP writes the gradients into one buffer of the block's shape
-and multiplies it by the unit rows.  Gradients flow only through the
-similarity entries that the pair sets select, never through set
-membership itself.
+go to the lower index.  Both terms read one graph: one
+:func:`glc.nn.unit_rows` node normalises all views' rows as one stack, and
+one Gram product gives their N x N similarities.  The global term is one
+:func:`glc.nn.gram_contrast` node on the selected entries of that matrix,
+the cross-view term one such node per view pair on the block ``[s_uu |
+s_uv]`` of the pair's co-available rows, with the same sample in the other
+view as each anchor's positive and a boolean mask of every other column as
+its negatives.  Gradients flow only through the similarity entries that
+the terms read, never through set membership itself.
 
-What a joint step holds: the graph's similarities are off the tape, so
-they are freed as soon as the step drops the graph, before the backward
-pass; a cross-view block lives only inside its node's forward pass.  The
-tape keeps each term's stack, its unit rows and the softmax over its
-negatives, and the sweep frees that softmax once it has passed the node.
+What a joint step holds: the similarities are off the tape and each node
+reads them in its forward pass only, so they are freed when the step
+drops the graph, after both terms and before the backward pass.  The tape
+keeps the stack, its unit rows and each node's softmax over its
+negatives, which the sweep frees once it has passed the node.
 """
 
 import logging
@@ -66,14 +63,13 @@ class GlobalAffinityGraph:
     """Cosine similarities over the stacked per-view features.
 
     ``unit`` is the stack of unit-norm feature rows, one
-    :func:`glc.nn.unit_rows` node on the tape; the global term
-    differentiates through it.  ``sims`` is ``unit @ unit.T``
-    with the diagonal pinned to 1, off the tape: pair selection reads it,
-    the global term reads its selected entries in the forward pass only,
-    and no node keeps it, so it is freed with the graph.  ``owners[r]``
-    records which (view, batch position) produced stacked row r.  A graph
-    given by its similarities alone (``unit`` None) can be selected from
-    but has no global term.
+    :func:`glc.nn.unit_rows` node on the tape that both contrastive terms
+    differentiate through.  ``sims`` is ``unit @ unit.T`` with the diagonal
+    pinned to 1, off the tape: pair selection and both terms read it in
+    their forward passes, no node keeps it, so it is freed with the graph.
+    ``owners[r]`` records which (view, batch position) produced stacked row
+    r.  A graph given by its similarities alone (``unit`` None) can be
+    selected from but feeds no term.
     """
 
     sims: Tensor         # (N_c, N_c), off the tape, diagonal pinned to 1
@@ -255,9 +251,9 @@ def ggc_loss(graph, pairs, temperature, include_positive_in_denominator=False):
         raise ConfigError("temperature must be positive")
     if pairs.negatives.shape[1] < 1:
         raise ConfigError("anchors with positives need at least one negative")
-    return nn.gram_contrast(graph.unit, pairs.positives, pairs.negatives,
-                            1.0 / temperature, include_positive_in_denominator,
-                            sims=graph.sims.data)
+    return nn.gram_contrast(graph.unit, graph.sims.data, pairs.positives,
+                            pairs.negatives, 1.0 / temperature,
+                            include_positive_in_denominator)
 
 
 # ---------------------------------------------------------------------------
@@ -316,28 +312,12 @@ def pairwise_contrastive_loss(h_u, h_v, temperature):
 
     Anchors are view u's rows.  The positive of anchor i is view v's row i;
     the denominator sums over all other rows of both views (2(n-1) terms).
-    The rows of both views are normalized once, as one stack [u; v], and
-    the loss is one :func:`glc.nn.gram_contrast` node on that stack: it
-    forms the (n, 2n) block ``[s_uu | s_uv]`` of u's rows against the
-    stack, reads it and drops it.  The positive of anchor i is column n+i,
-    and its negatives are every column but i and n+i, passed as a boolean
-    mask and so read in column order.
+    This is :func:`lwc_total` on the two views with every row co-available:
+    one graph over [u; v] and one :func:`glc.nn.gram_contrast` node on it.
     """
-    if temperature <= 0.0:
-        raise ConfigError("temperature must be positive")
     h_u, h_v = _as_tensor(h_u), _as_tensor(h_v)
-    n = h_u.data.shape[0]
-    if h_v.data.shape[0] != n:
-        raise ShapeError("both views must provide the same co-available rows")
-    if n < 2:
-        logger.warning("cross-view contrast skipped: %d co-available rows", n)
-        return Tensor(0.0)
-    stack = nn.unit_rows(nn.concat_rows([h_u, h_v]))       # (2n, d)
-    idx = np.arange(n)
-    keep = np.ones((n, 2 * n), dtype=bool)
-    keep[idx, idx] = False                                # the anchor itself
-    keep[idx, n + idx] = False                            # its positive
-    return nn.gram_contrast(stack, (idx + n)[:, None], keep, 1.0 / temperature)
+    co = {(0, 1): (np.arange(h_u.data.shape[0]), np.arange(h_v.data.shape[0]))}
+    return lwc_total([h_u, h_v], co, temperature)
 
 
 def lwc_loss(h_u, h_v, weights, temperature):
@@ -363,27 +343,46 @@ def lwc_loss(h_u, h_v, weights, temperature):
     return nn.add(loss, Tensor(-float(np.sum(np.log(diag)))))
 
 
-def lwc_total(h_list, co_available, temperature):
+def lwc_total(h_list, co_available, temperature, graph=None):
     """Sum the cross-view contrastive loss over all unordered view pairs.
 
     ``co_available`` maps (u, v) with u < v to the pair's local row
-    indices; each pair adds :func:`pairwise_contrastive_loss` on those
-    rows, one :func:`glc.nn.gram_contrast` node per pair.  No pair weights
-    enter: this is plain cross-view InfoNCE.  Pairs with fewer than 2
-    common samples are skipped with a warning.
+    indices, ``graph`` is the global graph of ``h_list`` (built here when
+    not given).  Each pair adds one :func:`glc.nn.gram_contrast` node on
+    ``graph.unit`` over the block ``sims[gu, [gu; gv]]`` = ``[s_uu |
+    s_uv]``, where ``gu`` and ``gv`` are the pair's rows in the stack:
+    anchor i's positive is column n+i, its negatives every column but i and
+    n+i, as a boolean mask read in column order.  No pair weights enter:
+    this is plain cross-view InfoNCE.  Pairs with fewer than 2 common
+    samples are skipped with a warning.
     """
+    if temperature <= 0.0:
+        raise ConfigError("temperature must be positive")
+    sizes = [_as_tensor(h).data.shape[0] for h in h_list]
+    starts = np.cumsum([0] + sizes)
+    if graph is not None and graph.size != starts[-1]:
+        raise ShapeError("the graph does not stack these views")
     total = Tensor(0.0)
-    n_views = len(h_list)
-    for u in range(n_views):
-        for v in range(u + 1, n_views):
-            rows_u, rows_v = co_available[(u, v)]
-            if len(rows_u) != len(rows_v):
+    for u in range(len(h_list)):
+        for v in range(u + 1, len(h_list)):
+            rows_u, rows_v = map(np.asarray, co_available[(u, v)])
+            n = len(rows_u)
+            if len(rows_v) != n:
                 raise ShapeError("co-availability index lengths differ")
-            if len(rows_u) < 2:
+            if n < 2:
                 logger.warning("view pair (%d, %d) skipped: %d common samples",
-                               u, v, len(rows_u))
+                               u, v, n)
                 continue
-            a = nn.take_rows(_as_tensor(h_list[u]), rows_u)
-            b = nn.take_rows(_as_tensor(h_list[v]), rows_v)
-            total = nn.add(total, pairwise_contrastive_loss(a, b, temperature))
+            if min(rows_u.min(), rows_v.min()) < 0 or \
+                    rows_u.max() >= sizes[u] or rows_v.max() >= sizes[v]:
+                raise ShapeError("co-available rows outside their view")
+            if graph is None:
+                graph = build_global_graph(h_list)
+            gu = starts[u] + rows_u
+            cols = np.concatenate([gu, starts[v] + rows_v])
+            keep = np.tile(~np.eye(n, dtype=bool), 2)     # all but i and n+i
+            total = nn.add(total, nn.gram_contrast(
+                graph.unit, graph.sims.data[np.ix_(gu, cols)],
+                (np.arange(n) + n)[:, None], keep, 1.0 / temperature,
+                block=(gu, cols)))
     return total

@@ -16,12 +16,13 @@ activation-sized output; it replaced the four nodes ``transpose``,
 scatters with ``np.bincount``: repeated indices add in index order from
 0.0, byte-equal to ``np.add.at``.  :func:`gram_contrast` is the one
 contrastive node, for the global graph's term and the cross-view term
-alike: its parent is a stack of unit rows U, it reads the Gram block
-``U[:m] @ U.T`` in its forward pass only, and its VJP multiplies one
-block-sized gradient buffer by U.  It is byte-equal to its kernel run as a
-node on the block that ``matmul`` and ``transpose`` nodes form, and equals
-the chain of gathers that kernel replaced within rounding, for both
-denominators (both chains are kept in ``tests/reference_chain.py``).
+alike: its parent is a stack of unit rows U, it reads a Gram block of U
+that the caller formed, in its forward pass only, and its VJP multiplies
+one block-sized gradient buffer by U.  It is byte-equal to its kernel run
+as a node on the block that ``take_rows``, ``matmul`` and ``transpose``
+nodes form, and equals the chain of gathers that kernel replaced within
+rounding, for both denominators (both chains are kept in
+``tests/reference_chain.py``).
 
 A tape is meant for a single forward/backward cycle.  ``backward`` drops
 each node's VJP closure as soon as the sweep has passed the node, so the
@@ -360,38 +361,32 @@ def _contrast(x, positives, negatives, scale, include):
     return out, grad
 
 
-def gram_contrast(unit, positives, negatives, scale,
-                  include_positive_in_denominator=False, sims=None):
-    """InfoNCE over per-row partner sets of the Gram block ``U[:m] @ U.T``
-    of an (N, d) matrix U = ``unit``, as one tape node whose parent is U;
-    m is the row count of ``positives``.
+def gram_contrast(unit, sims, positives, negatives, scale,
+                  include_positive_in_denominator=False, block=None):
+    """InfoNCE over per-row partner sets of a Gram block of an (N, d)
+    matrix U = ``unit``, as one tape node whose parent is U.
 
-    Both contrastive terms are this node: the global graph's square block
-    (m = N) with its pair sets as column indices, and a view pair's (n, 2n)
-    block ``[s_uu | s_uv]`` of the stack [u; v] (a prefix, m = n) with a
-    boolean mask of negatives.  :func:`_contrast` defines the value, the
-    two forms of ``negatives`` and the gradient buffer G.
-
-    The node forms the block, takes the value and drops it; given
-    ``sims``, the block already formed (the global graph's similarities,
-    whose diagonal no pair set reads), it reads that instead and keeps no
-    reference to it.  Either way no (m, N) array outlives the forward pass
-    but the saved softmax, which :func:`backward` frees once the node is
-    swept.  The VJP returns ``G @ U + (U.T @ G).T`` for the square block,
-    and for a prefix block ``(U[:m].T @ G).T`` plus ``G @ U`` written into
-    the first m rows of zeros as ``0.0 + x``: the sums the ``matmul``,
-    ``transpose`` and, for a prefix, ``take_rows`` nodes it replaced made,
-    so value and gradient are byte-equal to that chain
-    (``tests/reference_chain.py``).
+    ``sims`` is the block, formed by the caller: ``U @ U.T`` (the global
+    graph's similarities; no pair set reads the diagonal) or, given
+    ``block = (rows, cols)`` of distinct row indices, ``U[rows] @
+    U[cols].T`` (a view pair's ``[s_uu | s_uv]``).  :func:`_contrast`
+    defines the value, the two forms of ``negatives`` and the gradient
+    buffer G; of the (m, c) arrays only its saved softmax outlives the
+    forward pass, until :func:`backward` sweeps the node.  The VJP returns
+    ``G @ U + (U.T @ G).T`` for the square block; for a block it adds
+    ``(U[rows].T @ G).T`` into rows ``cols`` of zeros, then ``G @ U[cols]``
+    into rows ``rows``: the sums of the ``take_rows``, ``transpose`` and
+    ``matmul`` nodes that once formed the block, so value and gradient are
+    byte-equal to that chain (``tests/reference_chain.py``).
     """
     unit = _wrap(unit)
     u = unit.data
+    x = np.asarray(sims)
     if u.ndim != 2:
         raise ShapeError("a contrastive term needs a 2-D matrix")
-    x = u[:len(positives)] @ u.T if sims is None else np.asarray(sims)
-    if x.ndim != 2 or x.shape[1] != u.shape[0] or x.shape[0] > u.shape[0]:
+    shape = (len(u),) * 2 if block is None else tuple(map(len, block))
+    if x.shape != shape:
         raise ShapeError("the similarities need the Gram block's shape")
-    m = x.shape[0]
     out, grad = _contrast(x, positives, negatives, scale,
                           include_positive_in_denominator)
 
@@ -399,11 +394,13 @@ def gram_contrast(unit, positives, negatives, scale,
         if not unit.requires_grad:
             return (None,)
         buf = grad(g)
-        if m == u.shape[0]:
+        if block is None:
             return (buf @ u + (u.T @ buf).T,)
-        rows = np.zeros(u.shape)
-        rows[:m] += buf @ u             # take_rows' scatter: 0.0 + each entry
-        return ((u[:m].T @ buf).T + rows,)
+        rows, cols = block
+        g_u = np.zeros(u.shape)
+        g_u[cols] += (u[rows].T @ buf).T
+        g_u[rows] += buf @ u[cols]
+        return (g_u,)
 
     return _attach(out, (unit,), vjp)
 

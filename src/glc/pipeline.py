@@ -7,9 +7,10 @@ joint optimization of reconstruction plus the two contrastive terms,
 
 rebuilding the global graph from the current features on every mini-batch
 (a batch whose stacked rows leave no negative under
-:func:`glc.graphs.pair_counts` skips the global term with a warning);
-the cross-view term is plain InfoNCE over each view pair's co-available
-samples (the paper's local pair weights are not part of it).
+:func:`glc.graphs.pair_counts` skips the global term with a warning); the
+cross-view term is plain InfoNCE over each view pair's co-available
+samples, read off the same graph (the paper's local pair weights are not
+part of it).
 Evaluation mean-fuses the contrastive features of each sample's available
 views and clusters them with k-means; reported numbers are the mean and
 population std over several k-means seeds on the frozen features (a full
@@ -155,27 +156,27 @@ def _step(model, batch, config, pool, states, updates, joint, epoch, bi):
     rec = reconstruction_loss(feats, batch)
     ggc = lwc = None
     paired = False
-    if joint and config.alpha > 0:
+    if contrast:
         hs = [f.contrast for f in feats]
-        stacked = sum(h.data.shape[0] for h in hs)
-        if pair_counts(stacked, config.pos, config.neg)[1] >= 1:
-            graph = build_global_graph(hs, positions=batch.view_positions)
-            pairs = select_pairs(graph, config.pos, config.neg)
-            ggc = ggc_loss(graph, pairs, config.tau,
-                           config.include_positive_in_denominator)
-            # the global term's node keeps the unit rows, not the N x N
-            # similarities: dropping the graph frees them before backward
-            del graph, pairs
-        else:
-            logger.warning("epoch %d batch %d: %d stacked features leave "
-                           "no negative, global term skipped", epoch, bi,
-                           stacked)
-    if joint and config.beta > 0:
-        hs = [f.contrast for f in feats]
-        co = {(u, v): batch.co_available(u, v)
-              for u in range(len(hs)) for v in range(u + 1, len(hs))}
-        paired = any(len(rows_u) >= 2 for rows_u, _ in co.values())
-        lwc = lwc_total(hs, co, config.tau)
+        graph = build_global_graph(hs, positions=batch.view_positions)
+        if config.alpha > 0:
+            if pair_counts(graph.size, config.pos, config.neg)[1] >= 1:
+                pairs = select_pairs(graph, config.pos, config.neg)
+                ggc = ggc_loss(graph, pairs, config.tau,
+                               config.include_positive_in_denominator)
+                del pairs
+            else:
+                logger.warning("epoch %d batch %d: %d stacked features leave "
+                               "no negative, global term skipped", epoch, bi,
+                               graph.size)
+        if config.beta > 0:
+            co = {(u, v): batch.co_available(u, v)
+                  for u in range(len(hs)) for v in range(u + 1, len(hs))}
+            paired = any(len(rows_u) >= 2 for rows_u, _ in co.values())
+            lwc = lwc_total(hs, co, config.tau, graph)
+        # the nodes keep the unit rows, not the N x N similarities both
+        # terms read: dropping the graph frees them before backward
+        del graph
     loss = total_loss(rec, ggc if ggc is not None else 0.0,
                       lwc if lwc is not None else 0.0,
                       config.alpha if joint else 0.0,

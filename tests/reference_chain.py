@@ -7,12 +7,12 @@ log-sum-exp that kernel was built from before; the tests keep them, and
 the two chains built from them, as references: the global term must match
 :func:`reference_ggc` with either denominator, and the cross-view term
 :func:`reference_pairwise`, within 1e-12 relative, and byte for byte
-:func:`offset_pairwise`, the same node with its negatives as flat column
-indices instead of a mask.  ``glc.nn.gram_contrast`` is the kernel on the
+:func:`offset_total`, the same nodes with their negatives as column
+indices instead of a mask.  ``glc.nn.gram_contrast`` is the kernel on a
 Gram block of a stack of unit rows, as one node on the stack; it must
 match :func:`pair_contrast` on :func:`gram_chain`, the ``matmul`` and
-``transpose`` (and, for a prefix block, ``take_rows``) nodes that formed
-the block on the tape, byte for byte.  ``glc.nn.dense`` is one node per
+``transpose`` (and, for a block of some rows, ``take_rows``) nodes that
+formed the block on the tape, byte for byte.  ``glc.nn.dense`` is one node per
 layer; it must match :func:`reference_dense`, the ``transpose``,
 ``matmul``, ``add`` and :func:`relu` chain, byte for byte.
 ``glc.nn.unit_rows`` must match :func:`_normalize_rows`, the ``mul``,
@@ -25,6 +25,7 @@ import numpy as np
 
 from glc import nn
 from glc.errors import NumericError, ShapeError
+from glc.graphs import build_global_graph
 from glc.nn import (_attach, _contrast, _nonneg, _scatter_add, _unbroadcast,
                     _wrap)
 
@@ -234,13 +235,16 @@ def positive_pairs(pairs):
     return np.repeat(np.arange(n), k), pairs.positives.reshape(-1)
 
 
-def gram_chain(unit, m):
-    """``unit[:m] @ unit.T`` as the nodes that formed it on the tape: the
-    global graph's square block from ``unit`` and its transpose, a view
-    pair's prefix block from the rows ``take_rows`` gathered."""
-    if m == unit.data.shape[0]:
+def gram_chain(unit, block=None):
+    """A Gram block of ``unit`` as the nodes that formed it on the tape:
+    the global graph's square block ``unit @ unit.T`` from ``unit`` and its
+    transpose, or given ``block = (rows, cols)``, ``unit[rows] @
+    unit[cols].T`` from the rows two ``take_rows`` nodes gathered."""
+    if block is None:
         return matmul(unit, transpose(unit))
-    return matmul(nn.take_rows(unit, np.arange(m)), transpose(unit))
+    rows, cols = block
+    return matmul(nn.take_rows(unit, rows),
+                  transpose(nn.take_rows(unit, cols)))
 
 
 def reference_ggc(sims, pairs, temperature, include_positive):
@@ -287,21 +291,29 @@ def reference_pairwise(h_u, h_v, temperature):
     return sub(tsum(den), tsum(nn.mul(pos, inv_t)))
 
 
-def offset_pairwise(h_u, h_v, temperature):
-    """The cross-view term on n >= 2 rows with index negatives.
+def offset_total(h_list, co_available, temperature):
+    """The cross-view term over all view pairs with index negatives.
 
-    One :func:`glc.nn.gram_contrast` node, as in
-    ``glc.graphs.pairwise_contrastive_loss``, but each anchor's 2n - 2
-    negatives are given as column indices, built from the mask in column
-    order, rather than as the mask itself.
+    One global graph of ``h_list`` and, per view pair with n >= 2 common
+    rows, one :func:`glc.nn.gram_contrast` node on the block of the pair's
+    stacked rows against [those rows; the other view's], as
+    ``glc.graphs.lwc_total`` reads it, but each anchor's 2n - 2 negatives
+    are given as column indices, listed in column order, rather than as a
+    mask.
     """
-    h_u, h_v = _wrap(h_u), _wrap(h_v)
-    n = h_u.data.shape[0]
-    stack = _normalize_rows(nn.concat_rows([h_u, h_v]))    # (2n, d)
-    idx = np.arange(n)
-    keep = np.ones((n, 2 * n), dtype=bool)
-    keep[idx, idx] = False                                # the anchor itself
-    keep[idx, n + idx] = False                            # its positive
-    negatives = np.broadcast_to(np.arange(2 * n), keep.shape)[keep]
-    return nn.gram_contrast(stack, (idx + n)[:, None],
-                            negatives.reshape(n, 2 * n - 2), 1.0 / temperature)
+    graph = build_global_graph(h_list)
+    starts = np.cumsum([0] + [_wrap(h).data.shape[0] for h in h_list])
+    total = nn.Tensor(0.0)
+    for (u, v), (rows_u, rows_v) in sorted(co_available.items()):
+        n = len(rows_u)
+        if n < 2:
+            continue
+        rows = starts[u] + np.asarray(rows_u)
+        cols = np.concatenate([rows, starts[v] + np.asarray(rows_v)])
+        negatives = np.array([[j for j in range(2 * n) if j not in (i, n + i)]
+                              for i in range(n)])
+        term = nn.gram_contrast(graph.unit, graph.sims.data[np.ix_(rows, cols)],
+                                (np.arange(n) + n)[:, None], negatives,
+                                1.0 / temperature, block=(rows, cols))
+        total = nn.add(total, term)
+    return total

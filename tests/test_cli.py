@@ -219,6 +219,8 @@ def test_train_with_one_shared_synthetic_width(tmp_path, fast_cfg):
     ("sweep", {"ablations": ["rec", "full", "rec"]}, ["--rates", "0.3"]),
     ("sweep", {}, ["--rates", "0.3,0.3000001"]),
     ("ablate", {"settings": ["noise", "combined", "noise"]}, []),
+    # distinct names but shared seeds: seeds take the rate to 6 decimals
+    ("sweep", {}, ["--rates", "1e-7,2e-7"]),
 ])
 def test_bad_config_exits_1_before_any_cell(tmp_path, command, config, extra):
     # run as a process, so an uncaught exception would show as a traceback

@@ -21,7 +21,7 @@ from glc.graphs import (GlobalAffinityGraph, PairSets, build_global_graph,
                         pair_counts, pairwise_contrastive_loss, select_pairs)
 from glc.nn import Tape, Tensor, backward, grad_check, take_rows
 from reference_chain import reference_ggc as _reference_ggc
-from reference_chain import (gram_chain, offset_pairwise, pair_contrast,
+from reference_chain import (gram_chain, offset_total, pair_contrast,
                              reference_pairwise)
 
 
@@ -608,8 +608,7 @@ def test_graph_similarities_die_with_the_graph():
 def _chain_ggc(graph, pairs, tau, include):
     """The global term as the chain: the graph's Gram block formed on the
     tape, then the gathers."""
-    return _reference_ggc(gram_chain(graph.unit, graph.size), pairs, tau,
-                          include)
+    return _reference_ggc(gram_chain(graph.unit), pairs, tau, include)
 
 
 def _kernel_on_sims(sims, pairs, tau, include):
@@ -851,18 +850,18 @@ def test_pairwise_matches_the_old_chain(tau):
 
 
 @pytest.mark.parametrize("tau", [0.5, 0.001])
-def test_lwc_total_is_byte_equal_to_index_negatives(tau, monkeypatch):
-    # the cross-view term passes its negatives as a mask; the same node
-    # given them as column indices, in column order, sums the same entries
-    # in the same order
+def test_lwc_total_is_byte_equal_to_index_negatives(tau):
+    # the cross-view term passes its negatives as a mask; the same nodes on
+    # the same blocks of the global graph, given them as column indices in
+    # column order, sum the same entries in the same order
     rng = np.random.default_rng(43)
     views = [rng.normal(size=(rows, 5)) for rows in (40, 33, 37)]
     co = {(0, 1): (np.arange(3, 36), np.arange(33)),
           (0, 2): (np.array([3, 7]), np.array([1, 6])),
           (1, 2): (np.arange(0, 33, 2), np.arange(1, 35, 2))}
     got, got_grads = _cross_view_value_and_grads(lwc_total, views, co, tau)
-    monkeypatch.setattr(graphs, "pairwise_contrastive_loss", offset_pairwise)
-    want, want_grads = _cross_view_value_and_grads(lwc_total, views, co, tau)
+    want, want_grads = _cross_view_value_and_grads(offset_total, views, co,
+                                                   tau)
     assert np.float64(got).tobytes() == np.float64(want).tobytes()
     for g, w in zip(got_grads, want_grads):
         assert g.tobytes() == w.tobytes()
@@ -877,20 +876,23 @@ def test_lwc_total_records_one_pair_contrast_node_per_pair(monkeypatch):
     calls = []
     real = nn.gram_contrast
 
-    def spy(a, *args, **kwargs):
-        out = real(a, *args, **kwargs)
-        calls.append((a, out))
+    def spy(*args, **kwargs):
+        out = real(*args, **kwargs)
+        calls.append(out)
         return out
 
     monkeypatch.setattr(nn, "gram_contrast", spy)
     tape = Tape()
     for t in h:
         tape.watch(t)
-    lwc_total(h, co, 0.5)
-    # each node's parent is the pair's stack of unit rows [u; v]
-    assert [a.shape for a, _ in calls] == [(12, 3), (6, 3)]
-    for unit, out in calls:
-        assert out in tape._nodes and out._parents == (unit,)
+    graph = build_global_graph(h)
+    before = len(tape._nodes)
+    lwc_total(h, co, 0.5, graph)
+    # one node per pair with 2+ rows, each on the graph's unit rows, and
+    # the running sum's adds: no gather, stack or normalisation of its own
+    contrast = [n for n in tape._nodes[before:] if n._parents == (graph.unit,)]
+    assert contrast == calls and len(calls) == 2
+    assert len(tape._nodes) == before + 2 * len(calls)
 
 
 def test_lwc_all_ones_weights_equal_unweighted():
@@ -983,16 +985,49 @@ def test_lwc_total_two_views_single_term():
     np.testing.assert_allclose(total, single, rtol=1e-12)
 
 
+def _summed_pairwise(feats, co, tau):
+    total = Tensor(0.0)
+    for (u, v), (ru, rv) in co.items():
+        total = nn.add(total, pairwise_contrastive_loss(
+            take_rows(feats[u], ru), take_rows(feats[v], rv), tau))
+    return total
+
+
 def test_lwc_total_three_views_term_count():
+    # lwc_total reads each pair's block off the views' global graph, passed
+    # in or built by itself; both equal the pairwise terms summed, each on
+    # a graph of its pair's taken rows alone.  Cases: every row common;
+    # an empty view; a pair with one common row (skipped) beside scattered
+    # rows at different local positions
     rng = np.random.default_rng(16)
-    h = [rng.normal(size=(4, 3)) for _ in range(3)]
-    co = _pair_index(h)
-    total3 = float(lwc_total(h, co, 0.5).data)
-    acc = 0.0
-    for u in range(3):
-        for v in range(u + 1, 3):
-            acc += float(pairwise_contrastive_loss(h[u], h[v], 0.5).data)
-    np.testing.assert_allclose(total3, acc, rtol=1e-12)
+    cases = [
+        ([4, 4, 4], _pair_index([np.zeros((4, 1))] * 3)),
+        ([5, 0, 6], {(0, 1): (np.array([], dtype=int),) * 2,
+                     (0, 2): (np.array([0, 2, 4]), np.array([5, 1, 3])),
+                     (1, 2): (np.array([], dtype=int),) * 2}),
+        ([7, 5, 6], {(0, 1): (np.array([3]), np.array([0])),
+                     (0, 2): (np.array([0, 1, 5, 6]), np.array([2, 3, 0, 5])),
+                     (1, 2): (np.array([4, 0, 1, 2, 3]), np.arange(5))}),
+    ]
+
+    def passed(feats, co, tau):
+        return lwc_total(feats, co, tau, build_global_graph(feats))
+
+    for sizes, co in cases:
+        h = [rng.normal(size=(rows, 3)) for rows in sizes]
+        want, want_grads = _cross_view_value_and_grads(_summed_pairwise, h,
+                                                       co, 0.5)
+        for total_fn in (lwc_total, passed):
+            got, got_grads = _cross_view_value_and_grads(total_fn, h, co, 0.5)
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+            for g, w in zip(got_grads, want_grads):
+                np.testing.assert_allclose(g, w, rtol=1e-12, atol=1e-12)
+        with pytest.raises(ShapeError, match="does not stack"):
+            lwc_total(h, co, 0.5, build_global_graph(h[:2]))
+    # a local row past its view, or negative, would read another view's row
+    for pair, rows in (((0, 1), ([0, 7], [0, 1])), ((1, 2), ([0, 1], [-1, 2]))):
+        with pytest.raises(ShapeError, match="outside their view"):
+            lwc_total(h, {**co, pair: tuple(map(np.array, rows))}, 0.5)
 
 
 def test_lwc_total_disjoint_availability_is_zero():

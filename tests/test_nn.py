@@ -429,44 +429,50 @@ def _square_sets(n, rng):
 
 def _gram_case(form, n, rng):
     """Unit rows, their partner sets and the Gram block the node is given:
-    the global term's square block with its diagonal pinned to 1, or a
-    cross-view prefix block of the first n/2 rows, formed in the node."""
+    the global term's square block with its diagonal pinned to 1, the block
+    of the first n/2 rows against all, or a view pair's block of three
+    scattered rows against [those rows; three others]."""
     x = rng.normal(size=(n, 4))
     unit = x / np.linalg.norm(x, axis=1, keepdims=True)
     if form == "square":
         sims = unit @ unit.T
         np.fill_diagonal(sims, 1.0)
-        return unit, *_square_sets(n, rng), sims
-    return unit, *_cross_view_mask(n // 2), None
+        return unit, *_square_sets(n, rng), sims, None
+    if form == "prefix":
+        rows, cols = np.arange(n // 2), np.arange(n)
+    else:
+        rows = np.array([7, 2, 9])
+        cols = np.concatenate([rows, [0, 11, 4]])
+    return (unit, *_cross_view_mask(len(rows)), unit[rows] @ unit[cols].T,
+            (rows, cols))
 
 
 @pytest.mark.parametrize("include", [False, True])
 @pytest.mark.parametrize("scale", [2.0, 1000.0])
 @pytest.mark.parametrize("upstream", [-0.3, -0.0])
-@pytest.mark.parametrize("form", ["square", "prefix"])
+@pytest.mark.parametrize("form", ["square", "prefix", "block"])
 def test_gram_contrast_is_byte_equal_to_the_matmul_chain(form, upstream,
                                                          scale, include):
     # the chain formed the block on the tape (matmul of the rows and their
-    # transpose, the prefix's rows gathered by take_rows, the square
-    # block's diagonal pinned in place) and ran pair_contrast on it; at
-    # scale 1000 some softmax entries underflow to 0
-    unit, positives, negatives, sims = _gram_case(form, 12,
-                                                  np.random.default_rng(30))
-    m = positives.shape[0]
+    # transpose, a block's rows and columns gathered by take_rows, the
+    # square block's diagonal pinned in place) and ran pair_contrast on
+    # it; at scale 1000 some softmax entries underflow to 0
+    unit, positives, negatives, sims, block = _gram_case(
+        form, 12, np.random.default_rng(30))
     results = []
     for kernel in (True, False):
         t = Tensor(unit.copy())
         tape = Tape()
         tape.watch(t)
         if kernel:
-            node = nn.gram_contrast(t, positives, negatives, scale, include,
-                                    sims=sims)
+            node = nn.gram_contrast(t, sims, positives, negatives, scale,
+                                    include, block=block)
             assert len(tape._nodes) == 1 and node._parents == (t,)
         else:
-            block = gram_chain(t, m)
-            if sims is not None:
-                np.fill_diagonal(block.data, 1.0)
-            node = pair_contrast(block, positives, negatives, scale,
+            chain = gram_chain(t, block)
+            if block is None:
+                np.fill_diagonal(chain.data, 1.0)
+            node = pair_contrast(chain, positives, negatives, scale,
                                  include)
         loss = nn.mul(node, upstream)
         results.append((loss.data.tobytes(), backward(tape, loss)[t]))
@@ -474,18 +480,26 @@ def test_gram_contrast_is_byte_equal_to_the_matmul_chain(form, upstream,
     assert value == want
     assert grad.tobytes() == want_grad.tobytes()
     if upstream != 0.0:
-        # every row gets a gradient, also the rows past a prefix block
-        assert (np.abs(grad).sum(axis=1) > 0.0).all()
+        # every row the block reads gets a gradient, and only those
+        read = np.zeros(12, dtype=bool)
+        read[np.arange(12) if block is None else block[1]] = True
+        assert ((np.abs(grad).sum(axis=1) > 0.0) == read).all()
 
 
 def test_gram_contrast_checks_the_block_shape():
     unit = Tensor(np.eye(4))
     positives, negatives = _cross_view_mask(2)
-    nn.gram_contrast(unit, positives, negatives, 1.0)
+    block = (np.array([0, 1]), np.arange(4))
+    nn.gram_contrast(unit, np.eye(2, 4), positives, negatives, 1.0,
+                     block=block)
     with pytest.raises(ShapeError):
-        nn.gram_contrast(unit, positives, negatives, 1.0, sims=np.eye(2, 3))
+        nn.gram_contrast(unit, np.eye(2, 3), positives, negatives, 1.0,
+                         block=block)
+    with pytest.raises(ShapeError):         # a block needs its rows and columns
+        nn.gram_contrast(unit, np.eye(2, 4), positives, negatives, 1.0)
     with pytest.raises(ShapeError):
-        nn.gram_contrast(Tensor(np.ones(4)), positives, negatives, 1.0)
+        nn.gram_contrast(Tensor(np.ones(4)), np.eye(2, 4), positives,
+                         negatives, 1.0, block=block)
 
 
 def _saved_arrays(fn):
@@ -509,7 +523,9 @@ def test_backward_frees_what_a_node_saved_once_it_is_swept():
     tape = Tape()
     tape.watch(t)
     positives, mask = _cross_view_mask(4)
-    node = nn.gram_contrast(t, positives, mask, 2.0)
+    block = (np.arange(4), np.arange(8))
+    node = nn.gram_contrast(t, t.data[:4] @ t.data.T, positives, mask, 2.0,
+                            block=block)
     loss = nn.mul(node, 0.5)
     (softmax,) = [a for a in _saved_arrays(node._vjp) if a.shape == (4, 6)]
     probe = weakref.ref(softmax)

@@ -386,14 +386,22 @@ def test_a_step_runs_the_heads_only_for_a_contrastive_term(
 
 @pytest.mark.parametrize("joint, census", [
     (False, {"dense": 18, "sq_error": 3, "add": 3}),
-    (True, {"dense": 24, "gram_contrast": 4, "unit_rows": 4, "sq_error": 3,
-            "take_rows": 6, "concat_rows": 4, "add": 8, "mul": 2}),
+    (True, {"dense": 24, "gram_contrast": 4, "unit_rows": 1, "sq_error": 3,
+            "concat_rows": 1, "add": 8, "mul": 2}),
+    pytest.param({"alpha": 0.0}, {"dense": 24, "gram_contrast": 3,
+                                  "unit_rows": 1, "sq_error": 3,
+                                  "concat_rows": 1, "add": 7, "mul": 1},
+                 id="alpha0"),
 ])
 def test_a_desk_step_records_its_node_census(monkeypatch, joint, census):
     # gate 6's combined cell: per view 3 encoder, 3 decoder and 2 head
-    # layers; the global term and 3 view pairs, each on its unit rows
+    # layers; one stack of unit rows, read by the global term and the
+    # 3 view pairs; with alpha = 0 the graph is built but no pair selected
+    overrides = joint if isinstance(joint, dict) else {}
+    joint = bool(joint)
     cfg = Config(profile="desk", seed=4, batch=256,
-                 dataset="synthetic:n=300,v=3,k=3,dims=20|20|20,sep=1.0")
+                 dataset="synthetic:n=300,v=3,k=3,dims=20|20|20,sep=1.0",
+                 **overrides)
     cfg = cfg.resolved()
     base, _ = resolve_dataset(cfg, cfg.seed)
     ds = corrupt_dataset(base, "combined", 0.3, cfg.noise_std, cfg.seed)
@@ -407,14 +415,20 @@ def test_a_desk_step_records_its_node_census(monkeypatch, joint, census):
                               for node in tape._nodes))
         return real(tape, loss, updates)
 
+    selected = []
+    select = pipeline.select_pairs
     monkeypatch.setattr(pipeline, "backward", count)
+    monkeypatch.setattr(pipeline, "select_pairs",
+                        lambda *a: selected.append(1) or select(*a))
     views = [view.parameters() for view in model]
     states = [nn.AdamState.for_params(p, learning_rate=cfg.lr) for p in views]
     updates = [state.by_param(p) for state, p in zip(states, views)]
     batch = next(iter_epoch(ds, cfg.batch, np.random.default_rng(0)))
     pipeline._step(model, batch, cfg, None, states, updates, joint, 1, 0)
     assert counts == [Counter(census)]
-    assert sum(census.values()) == (55 if joint else 24)
+    assert sum(census.values()) == (24 if not joint else
+                                    40 if overrides else 43)
+    assert len(selected) == (joint and not overrides)
 
 
 def _assert_each_step_is_freed(monkeypatch, cfg):
