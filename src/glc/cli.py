@@ -110,12 +110,10 @@ def load_config(args):
             raise ConfigError(f"{path}: {err}") from err
         if not isinstance(values, dict):
             raise ConfigError(f"{path}: the top level must be a JSON object")
-    for key in ("dataset", "setting", "rate", "noise_std", "seed", "out",
-                "alpha", "beta", "tau", "pos", "neg", "batch", "profile"):
-        value = getattr(args, key, None)
-        if value is not None:
-            values[key] = value
-    rates = getattr(args, "rates", None)
+    # every parsed flag named after a config key overrides it
+    flags = {key: getattr(args, key, None) for key in DEFAULTS}
+    values.update({k: v for k, v in flags.items() if v is not None})
+    rates = flags["rates"]
     if rates is not None:
         try:
             values["rates"] = [float(r) for r in str(rates).split(",") if r != ""]
@@ -403,6 +401,10 @@ def cmd_sweep(cfg):
 
 
 def cmd_ablate(cfg):
+    for key in ("rates", "ablations"):
+        if getattr(cfg, key) is not None:
+            raise ConfigError(f"ablate runs every ablation row at one rate "
+                              f"and does not read {key!r}; use sweep")
     out = Path(cfg.out)
     settings = cfg.settings or ["incomplete", "noise", "combined"]
     cells = [(s, cfg.rate, a) for s in settings for a in ABLATIONS]

@@ -19,6 +19,7 @@ import hashlib
 import json
 import logging
 import math
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -144,10 +145,15 @@ def standardize_views(dataset):
 # ---------------------------------------------------------------------------
 
 def _read_matrix(path, dtype=np.float64):
-    try:
-        arr = np.loadtxt(path, delimiter=",", dtype=dtype, ndmin=2)
-    except ValueError as err:
-        raise DataFormatError(f"{path}: {err}") from err
+    # loadtxt only warns on a file with no data; here that is an error
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", UserWarning)
+        try:
+            arr = np.loadtxt(path, delimiter=",", dtype=dtype, ndmin=2)
+        except UserWarning as err:
+            raise DataFormatError(f"{path}: no data") from err
+        except ValueError as err:
+            raise DataFormatError(f"{path}: {err}") from err
     if dtype == np.float64 and not np.isfinite(arr).all():
         raise DataFormatError(f"{path}: non-finite value")
     return arr

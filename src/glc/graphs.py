@@ -20,20 +20,21 @@ reads both partner sets off the packed bits; a row whose candidates are
 not distinct and finite once those bits are cleared (a tie, a near-tie, a
 NaN or an infinity) is selected again by two stable sorts, so ties always
 go to the lower index.  Both terms read one graph: one
-:func:`glc.nn.unit_rows` node normalises all views' rows as one stack, and
-one Gram product gives their N x N similarities.  The global term is one
-:func:`glc.nn.gram_contrast` node on the selected entries of that matrix,
-the cross-view term one such node per view pair on the block ``[s_uu |
-s_uv]`` of the pair's co-available rows, with the same sample in the other
-view as each anchor's positive and a boolean mask of every other column as
-its negatives.  Gradients flow only through the similarity entries that
-the terms read, never through set membership itself.
+:func:`glc.nn.unit_rows` node stacks all views' rows and scales each to
+unit norm, and one Gram product gives their N x N similarities.  The
+global term is one :func:`glc.nn.gram_contrast` node on the selected
+entries of that matrix, the cross-view term one such node per view pair on
+the block ``[s_uu | s_uv]`` of the pair's co-available rows, with the same
+sample in the other view as each anchor's positive and a boolean mask of
+every other column as its negatives.  Gradients flow only through the
+similarity entries that the terms read, never through set membership
+itself.
 
 What a joint step holds: the similarities are off the tape and each node
 reads them in its forward pass only, so they are freed when the step
 drops the graph, after both terms and before the backward pass.  The tape
-keeps the stack, its unit rows and each node's softmax over its
-negatives, which the sweep frees once it has passed the node.
+keeps the unit rows, the stack their node saved and each node's softmax
+over its negatives, which the sweep frees once it has passed the node.
 """
 
 import logging
@@ -45,13 +46,9 @@ import numpy as np
 
 from .errors import ConfigError, NumericError, ShapeError
 from . import nn
-from .nn import Tensor
+from .nn import Tensor, _wrap
 
 logger = logging.getLogger(__name__)
-
-
-def _as_tensor(x):
-    return x if isinstance(x, Tensor) else Tensor(x)
 
 
 # ---------------------------------------------------------------------------
@@ -89,7 +86,7 @@ def build_global_graph(view_features, positions=None):
     """
     parts, owner_rows = [], []
     for v, h in enumerate(view_features):
-        h = _as_tensor(h)
+        h = _wrap(h)
         rows = h.data.shape[0]
         if rows == 0:
             continue
@@ -101,8 +98,7 @@ def build_global_graph(view_features, positions=None):
         owner_rows.append(np.column_stack([np.full(rows, v, dtype=np.intp), pos]))
     if not parts:
         raise ShapeError("no features available in any view")
-    stack = nn.concat_rows(parts) if len(parts) > 1 else parts[0]
-    unit = nn.unit_rows(stack)
+    unit = nn.unit_rows(parts)
     sims = unit.data @ unit.data.T
     # self-similarity is 1 by definition; the entry never reaches a loss
     # (pair selection excludes the diagonal)
@@ -315,7 +311,7 @@ def pairwise_contrastive_loss(h_u, h_v, temperature):
     This is :func:`lwc_total` on the two views with every row co-available:
     one graph over [u; v] and one :func:`glc.nn.gram_contrast` node on it.
     """
-    h_u, h_v = _as_tensor(h_u), _as_tensor(h_v)
+    h_u, h_v = _wrap(h_u), _wrap(h_v)
     co = {(0, 1): (np.arange(h_u.data.shape[0]), np.arange(h_v.data.shape[0]))}
     return lwc_total([h_u, h_v], co, temperature)
 
@@ -326,7 +322,7 @@ def lwc_loss(h_u, h_v, weights, temperature):
     ``weights`` is the propagated-affinity matrix (its diagonal is used)
     or the diagonal itself; the weights are constants for gradients.
     """
-    h_u, h_v = _as_tensor(h_u), _as_tensor(h_v)
+    h_u, h_v = _wrap(h_u), _wrap(h_v)
     n = h_u.data.shape[0]
     if n < 2:
         logger.warning("lwc_loss skipped: %d co-available rows", n)
@@ -340,7 +336,7 @@ def lwc_loss(h_u, h_v, weights, temperature):
                            "(kernel underflow or bad kernel width)")
     loss = pairwise_contrastive_loss(h_u, h_v, temperature)
     # the weighting term -sum(log w_i): a constant, so no gradient
-    return nn.add(loss, Tensor(-float(np.sum(np.log(diag)))))
+    return nn.sum_terms([loss, -float(np.sum(np.log(diag)))])
 
 
 def lwc_total(h_list, co_available, temperature, graph=None):
@@ -352,17 +348,18 @@ def lwc_total(h_list, co_available, temperature, graph=None):
     ``graph.unit`` over the block ``sims[gu, [gu; gv]]`` = ``[s_uu |
     s_uv]``, where ``gu`` and ``gv`` are the pair's rows in the stack:
     anchor i's positive is column n+i, its negatives every column but i and
-    n+i, as a boolean mask read in column order.  No pair weights enter:
-    this is plain cross-view InfoNCE.  Pairs with fewer than 2 common
-    samples are skipped with a warning.
+    n+i, as a boolean mask read in column order; one
+    :func:`glc.nn.sum_terms` node adds the pairs' nodes.  No pair weights
+    enter: this is plain cross-view InfoNCE.  Pairs with fewer than 2
+    common samples are skipped with a warning.
     """
     if temperature <= 0.0:
         raise ConfigError("temperature must be positive")
-    sizes = [_as_tensor(h).data.shape[0] for h in h_list]
+    sizes = [_wrap(h).data.shape[0] for h in h_list]
     starts = np.cumsum([0] + sizes)
     if graph is not None and graph.size != starts[-1]:
         raise ShapeError("the graph does not stack these views")
-    total = Tensor(0.0)
+    terms = []
     for u in range(len(h_list)):
         for v in range(u + 1, len(h_list)):
             rows_u, rows_v = map(np.asarray, co_available[(u, v)])
@@ -381,8 +378,8 @@ def lwc_total(h_list, co_available, temperature, graph=None):
             gu = starts[u] + rows_u
             cols = np.concatenate([gu, starts[v] + rows_v])
             keep = np.tile(~np.eye(n, dtype=bool), 2)     # all but i and n+i
-            total = nn.add(total, nn.gram_contrast(
+            terms.append(nn.gram_contrast(
                 graph.unit, graph.sims.data[np.ix_(gu, cols)],
                 (np.arange(n) + n)[:, None], keep, 1.0 / temperature,
                 block=(gu, cols)))
-    return total
+    return nn.sum_terms(terms)

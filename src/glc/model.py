@@ -6,7 +6,9 @@ width) whose outputs feed the contrastive objectives.  Hidden layers use
 ReLU, every final layer is linear.  The default widths follow the paper
 profile (hidden 500/500/2000, latent 512, contrast 128); tests and quick
 runs use the smaller desk profile, defined next to it in
-``glc.config.PROFILES``.
+``glc.config.PROFILES``.  The reconstruction term,
+:func:`reconstruction_loss`, is one :func:`glc.nn.sq_error` node over all
+views.
 """
 
 import json
@@ -120,13 +122,10 @@ def _forward_view(view, x, contrast, tape):
 
 def reconstruction_loss(features, batch):
     """Sum of squared reconstruction errors over all available entries: one
-    :func:`glc.nn.sq_error` node per view, on the calling thread (a view's
-    arrays, about 224 x 240 at the ``paper`` profile, gain nothing on its
-    worker)."""
-    total = Tensor(0.0)
-    for feat, x in zip(features, batch.view_data):
-        total = total + sq_error(feat.recon, x)
-    return total
+    :func:`glc.nn.sq_error` node over every view, on the calling thread (a
+    view's arrays, about 224 x 240 at the ``paper`` profile, gain nothing on
+    its worker)."""
+    return sq_error([f.recon for f in features], batch.view_data)
 
 
 # ---------------------------------------------------------------------------

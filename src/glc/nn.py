@@ -4,25 +4,16 @@ Every value is a float64 numpy array (2-D matrices, 1-D vectors, 0-d
 scalars).  ``Tensor`` wraps one array together with the bookkeeping for
 reverse-mode differentiation: while a ``Tape`` is attached, each operation
 appends a node, and ``backward`` replays the nodes in reverse order to
-accumulate a gradient for every watched parameter.  The op set is exactly
-what dense MLPs, affinity graphs and InfoNCE need.  :func:`unit_rows` is
-byte-equal to the ``mul``, ``tsum``, ``sqrt`` and ``div`` nodes it replaced,
-:func:`sq_error` to ``sub``, ``mul`` and ``tsum`` (the retired ops are kept
-in ``tests/reference_chain.py``).  :func:`dense` records
-a whole layer (product, bias and optional ReLU) as one node with one
-activation-sized output; it replaced the four nodes ``transpose``,
-``matmul``, ``add`` and ``relu`` per layer (that chain is kept in
-``tests/reference_chain.py``) and is byte-equal to them.  ``take_rows``' VJP
-scatters with ``np.bincount``: repeated indices add in index order from
-0.0, byte-equal to ``np.add.at``.  :func:`gram_contrast` is the one
-contrastive node, for the global graph's term and the cross-view term
-alike: its parent is a stack of unit rows U, it reads a Gram block of U
-that the caller formed, in its forward pass only, and its VJP multiplies
-one block-sized gradient buffer by U.  It is byte-equal to its kernel run
-as a node on the block that ``take_rows``, ``matmul`` and ``transpose``
-nodes form, and equals the chain of gathers that kernel replaced within
-rounding, for both denominators (both chains are kept in
-``tests/reference_chain.py``).
+accumulate a gradient for every watched parameter.  The nodes are what the
+objective needs, one per layer, loss term or sum: :func:`dense` (a layer,
+``x @ W.T + b`` and an optional ReLU), :func:`sq_error` (every view's
+reconstruction error), :func:`unit_rows` (parts stacked, each row scaled to
+unit norm), :func:`gram_contrast` (InfoNCE over partner sets of a Gram
+block of such a stack, for both contrastive terms), :func:`sum_terms` (a
+weighted sum of scalars, also ``+``) and :func:`take_rows` (a row gather).
+Each docstring states its node's contract: the chain of elementary ops,
+kept as a reference in ``tests/reference_chain.py``, whose value and
+gradients it matches, byte for byte unless it says otherwise.
 
 A tape is meant for a single forward/backward cycle.  ``backward`` drops
 each node's VJP closure as soon as the sweep has passed the node, so the
@@ -69,6 +60,7 @@ busy, plus BLAS's own; with the views already running at once, setting
 """
 
 import contextvars
+import functools
 import math
 from concurrent.futures import ThreadPoolExecutor, wait
 from contextlib import nullcontext
@@ -103,7 +95,7 @@ class Tensor:
 
     # -- operator sugar -------------------------------------------------
     def __add__(self, other):
-        return add(self, other)
+        return sum_terms([self, other])
 
     __radd__ = __add__
 
@@ -167,75 +159,80 @@ def _attach(data, parents, vjp):
 # primitive operations
 # ---------------------------------------------------------------------------
 
-def add(a, b):
-    a, b = _wrap(a), _wrap(b)
+def sum_terms(terms, weights=None):
+    """``w_0 * t_0 + w_1 * t_1 + ...`` over scalar tensors or numbers (all
+    weights 1 by default), as one node; the VJP gives each term ``g * w``.
 
-    def vjp(g):
-        return (_unbroadcast(g, a.data.shape) if a.requires_grad else None,
-                _unbroadcast(g, b.data.shape) if b.requires_grad else None)
-
-    return _attach(a.data + b.data, (a, b), vjp)
-
-
-def mul(a, b):
-    a, b = _wrap(a), _wrap(b)
-
-    def vjp(g):
-        return (_unbroadcast(g * b.data, a.data.shape) if a.requires_grad else None,
-                _unbroadcast(g * a.data, b.data.shape) if b.requires_grad else None)
-
-    return _attach(a.data * b.data, (a, b), vjp)
-
-
-def unit_rows(t):
-    """Each row of a 2-D tensor scaled to unit norm, as one node; a row of
-    norm 0 raises ``NumericError``.  It replays the ``mul``, ``tsum``,
-    ``sqrt``, ``div`` chain: the gradient adds ``div``'s part, then
-    ``mul``'s two, as that chain's sweep did, so value and gradient are
-    byte-equal to it while no later node also consumes ``t``.
+    A term of weight 0 is left out, and with no term left the sum is a
+    constant 0.0; it folds left from the first term kept.  Value and
+    gradients are byte-equal to ``add(add(mul(w_0, t_0), mul(w_1, t_1)),
+    ...)`` (``1.0 * t`` is ``t`` exactly), and with unit weights to the sum
+    from 0.0, ``add(add(0.0, t_0), t_1)...``, unless ``t_0`` is -0.0.
     """
-    t = _wrap(t)
-    x = t.data
+    terms = [_wrap(t) for t in terms]
+    weights = [1.0] * len(terms) if weights is None else list(map(float, weights))
+    if len(weights) != len(terms) or any(t.data.ndim for t in terms):
+        raise ShapeError("sum_terms needs one weight per scalar term")
+    kept = [(t, w) for t, w in zip(terms, weights) if w != 0.0]
+    if not kept:
+        return Tensor(0.0)
+
+    def vjp(g):
+        return tuple(g * w if t.requires_grad else None for t, w in kept)
+
+    return _attach(functools.reduce(np.add, [w * t.data for t, w in kept]),
+                   tuple(t for t, _ in kept), vjp)
+
+
+def unit_rows(parts):
+    """2-D tensors stacked along axis 0, each row scaled to unit norm, as one
+    node; a row of norm 0 raises ``NumericError``.
+
+    Each part's gradient is its slice of the stack's, which adds the
+    ``div`` part first, then the ``mul`` ones, as the sweep of the
+    ``concat_rows``, ``mul``, ``tsum``, ``sqrt``, ``div`` chain did: value
+    and gradients are byte-equal to it while no later node reads a part.
+    """
+    parts = tuple(_wrap(p) for p in parts)
+    if not parts:
+        raise ShapeError("unit_rows needs at least one part")
+    x = np.concatenate([p.data for p in parts], axis=0)
     norms = np.sqrt(np.sum(x * x, axis=1, keepdims=True))
     if np.any(norms == 0.0):
         raise NumericError("zero-norm feature row (degenerate embedding)")
+    ends = np.cumsum([len(p.data) for p in parts])
 
     def vjp(g):
         gb = _unbroadcast(-g * x / (norms * norms), norms.shape)
         gm = (gb * (0.5 / norms)) * x
-        return ((g / norms + gm) + gm,)
+        grads = np.split((g / norms + gm) + gm, ends[:-1])
+        return tuple(pg if p.requires_grad else None
+                     for p, pg in zip(parts, grads))
 
-    return _attach(x / norms, (t,), vjp)
-
-
-def sq_error(pred, x):
-    """``sum((pred - x) ** 2)`` as one node, ``x`` a constant; its VJP adds
-    ``mul``'s two equal parts, as the chain it replaces did."""
-    pred = _wrap(pred)
-    diff = pred.data - np.asarray(x, dtype=np.float64)
-
-    def vjp(g):
-        gd = float(g) * diff
-        return (gd + gd,)
-
-    return _attach(np.sum(diff * diff), (pred,), vjp)
+    return _attach(x / norms, parts, vjp)
 
 
-def concat_rows(parts):
-    """Stack 2-D tensors along axis 0."""
-    parts = tuple(_wrap(p) for p in parts)
-    if not parts:
-        raise ShapeError("concat_rows needs at least one part")
-    sizes = [p.data.shape[0] for p in parts]
+def sq_error(preds, xs):
+    """``sum((pred - x) ** 2)`` summed over the pairs of ``preds`` and the
+    constants ``xs``, as one node.
+
+    The pairs' sums add in order from the first.  Each pred's gradient is
+    ``g * (pred - x)`` added to itself: value and gradients are byte-equal
+    to ``0.0`` plus one ``sub``, ``mul``, ``tsum`` chain per pair.
+    """
+    preds, xs = tuple(_wrap(p) for p in preds), list(xs)
+    if not preds or len(xs) != len(preds):
+        raise ShapeError("sq_error needs one target per prediction")
+    diffs = [p.data - np.asarray(x, dtype=np.float64)
+             for p, x in zip(preds, xs)]
 
     def vjp(g):
-        outs, offset = [], 0
-        for p, size in zip(parts, sizes):
-            outs.append(g[offset:offset + size] if p.requires_grad else None)
-            offset += size
-        return tuple(outs)
+        gds = [float(g) * d for d in diffs]
+        return tuple(gd + gd if p.requires_grad else None
+                     for p, gd in zip(preds, gds))
 
-    return _attach(np.concatenate([p.data for p in parts], axis=0), parts, vjp)
+    return _attach(functools.reduce(np.add, [np.sum(d * d) for d in diffs]),
+                   preds, vjp)
 
 
 def _scatter_add(shape, flat, g):

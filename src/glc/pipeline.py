@@ -5,12 +5,12 @@ joint optimization of reconstruction plus the two contrastive terms,
 
     total = rec + alpha * global_graph_term + beta * cross_view_term,
 
-rebuilding the global graph from the current features on every mini-batch
-(a batch whose stacked rows leave no negative under
-:func:`glc.graphs.pair_counts` skips the global term with a warning); the
-cross-view term is plain InfoNCE over each view pair's co-available
-samples, read off the same graph (the paper's local pair weights are not
-part of it).
+one :func:`glc.nn.sum_terms` node on the tape, rebuilding the global graph
+from the current features on every mini-batch (a batch whose stacked rows
+leave no negative under :func:`glc.graphs.pair_counts` skips the global
+term with a warning); the cross-view term is plain InfoNCE over each view
+pair's co-available samples, read off the same graph (the paper's local
+pair weights are not part of it).
 Evaluation mean-fuses the contrastive features of each sample's available
 views and clusters them with k-means; reported numbers are the mean and
 population std over several k-means seeds on the frozen features (a full
@@ -56,9 +56,8 @@ from .metrics import accuracy, ari, nmi
 from .model import (forward_views, init_model, model_parameters,
                     reconstruction_loss)
 # adam_step is imported for perfbench/tracing.py, which wraps this name
-from .nn import (AdamState, Tape, adam_step, backward, mlp_forward, mul, add,
-                 segment_pool)
-from . import nn
+from .nn import (AdamState, Tape, adam_step, backward, mlp_forward,
+                 segment_pool, sum_terms)
 
 logger = logging.getLogger(__name__)
 
@@ -104,16 +103,9 @@ class TrainHistory:
 
 
 def total_loss(rec, ggc, lwc, alpha, beta):
-    """Weighted objective; works on plain numbers and on tensors alike."""
-    tensorial = any(isinstance(x, nn.Tensor) for x in (rec, ggc, lwc))
-    if not tensorial:
-        return float(rec) + alpha * float(ggc) + beta * float(lwc)
-    out = rec if isinstance(rec, nn.Tensor) else nn.Tensor(float(rec))
-    if alpha != 0.0:
-        out = add(out, mul(float(alpha), ggc))
-    if beta != 0.0:
-        out = add(out, mul(float(beta), lwc))
-    return out
+    """The objective ``rec + alpha * ggc + beta * lwc`` as one
+    :func:`glc.nn.sum_terms` node; a term of weight 0 is left out."""
+    return sum_terms([rec, ggc, lwc], [1.0, alpha, beta])
 
 
 def build_model(dataset, config):

@@ -1,5 +1,4 @@
-"""The contrastive terms and the dense layer as the chains of tape ops
-they once were.
+"""``glc.nn``'s nodes as the chains of elementary tape ops they match.
 
 :func:`pair_contrast` runs ``glc.nn``'s contrastive kernel as one node on
 a similarity matrix.  The ops here are the gathers and the masked
@@ -14,11 +13,14 @@ match :func:`pair_contrast` on :func:`gram_chain`, the ``matmul`` and
 ``transpose`` (and, for a block of some rows, ``take_rows``) nodes that
 formed the block on the tape, byte for byte.  ``glc.nn.dense`` is one node per
 layer; it must match :func:`reference_dense`, the ``transpose``,
-``matmul``, ``add`` and :func:`relu` chain, byte for byte.
-``glc.nn.unit_rows`` must match :func:`_normalize_rows`, the ``mul``,
-:func:`tsum`, :func:`sqrt` and :func:`div` chain, and ``glc.nn.sq_error``
-the :func:`sub`, ``mul`` and :func:`tsum` chain, byte for byte.  Each op
-records a node on the tape like any ``glc.nn`` op.
+``matmul``, :func:`add` and :func:`relu` chain, byte for byte.
+``glc.nn.unit_rows`` must match :func:`concat_rows` followed by
+:func:`_normalize_rows`, the :func:`mul`, :func:`tsum`, :func:`sqrt` and
+:func:`div` chain; ``glc.nn.sq_error`` the sum from 0.0, by :func:`add`,
+of one :func:`sub`, :func:`mul`, :func:`tsum` chain per view; and
+``glc.nn.sum_terms`` the :func:`add` and :func:`mul` chains the objective
+was summed with; all byte for byte.  Each op records a node on the tape
+like any ``glc.nn`` op.
 """
 
 import numpy as np
@@ -28,6 +30,43 @@ from glc.errors import NumericError, ShapeError
 from glc.graphs import build_global_graph
 from glc.nn import (_attach, _contrast, _nonneg, _scatter_add, _unbroadcast,
                     _wrap)
+
+
+def add(a, b):
+    a, b = _wrap(a), _wrap(b)
+
+    def vjp(g):
+        return (_unbroadcast(g, a.data.shape) if a.requires_grad else None,
+                _unbroadcast(g, b.data.shape) if b.requires_grad else None)
+
+    return _attach(a.data + b.data, (a, b), vjp)
+
+
+def mul(a, b):
+    a, b = _wrap(a), _wrap(b)
+
+    def vjp(g):
+        return (_unbroadcast(g * b.data, a.data.shape) if a.requires_grad else None,
+                _unbroadcast(g * a.data, b.data.shape) if b.requires_grad else None)
+
+    return _attach(a.data * b.data, (a, b), vjp)
+
+
+def concat_rows(parts):
+    """Stack 2-D tensors along axis 0."""
+    parts = tuple(_wrap(p) for p in parts)
+    if not parts:
+        raise ShapeError("concat_rows needs at least one part")
+    sizes = [p.data.shape[0] for p in parts]
+
+    def vjp(g):
+        outs, offset = [], 0
+        for p, size in zip(parts, sizes):
+            outs.append(g[offset:offset + size] if p.requires_grad else None)
+            offset += size
+        return tuple(outs)
+
+    return _attach(np.concatenate([p.data for p in parts], axis=0), parts, vjp)
 
 
 def sub(a, b):
@@ -81,7 +120,7 @@ def tsum(a, axis=None, keepdims=False):
 
 def _normalize_rows(t):
     """Scale each row to unit Euclidean norm as the four nodes it once was."""
-    sq = tsum(nn.mul(t, t), axis=1, keepdims=True)
+    sq = tsum(mul(t, t), axis=1, keepdims=True)
     norms = sqrt(sq)
     if np.any(norms.data == 0.0):
         raise NumericError("zero-norm feature row (degenerate embedding)")
@@ -139,7 +178,7 @@ def relu(a):
 
 def reference_dense(x, layer):
     """One dense layer as the four nodes it once was on the tape."""
-    out = nn.add(matmul(x, transpose(layer.weight)), layer.bias)
+    out = add(matmul(x, transpose(layer.weight)), layer.bias)
     return relu(out) if layer.activation == "relu" else out
 
 
@@ -256,13 +295,13 @@ def reference_ggc(sims, pairs, temperature, include_positive):
     if include_positive:
         cols = np.concatenate([pairs.negatives[anchors], partners[:, None]],
                               axis=1)
-        per_pair_den = logsumexp_rows(nn.mul(
+        per_pair_den = logsumexp_rows(mul(
             gather_cols(sims, cols, rows=anchors), inv_t))
     else:
-        den = logsumexp_rows(nn.mul(
+        den = logsumexp_rows(mul(
             gather_cols(sims, pairs.negatives), inv_t))
         per_pair_den = nn.take_rows(den, anchors)
-    return sub(tsum(per_pair_den), tsum(nn.mul(pos_vals, inv_t)))
+    return sub(tsum(per_pair_den), tsum(mul(pos_vals, inv_t)))
 
 
 def reference_pairwise(h_u, h_v, temperature):
@@ -285,10 +324,10 @@ def reference_pairwise(h_u, h_v, temperature):
     idx = np.arange(n)
     keep[idx, idx] = False                                # the anchor itself
     keep[idx, n + idx] = False                            # its positive
-    den = logsumexp_rows(nn.mul(sims, inv_t), keep)       # (n,)
+    den = logsumexp_rows(mul(sims, inv_t), keep)       # (n,)
 
     pos = gather_pairs(s_uv, idx, idx)
-    return sub(tsum(den), tsum(nn.mul(pos, inv_t)))
+    return sub(tsum(den), tsum(mul(pos, inv_t)))
 
 
 def offset_total(h_list, co_available, temperature):
@@ -315,5 +354,5 @@ def offset_total(h_list, co_available, temperature):
         term = nn.gram_contrast(graph.unit, graph.sims.data[np.ix_(rows, cols)],
                                 (np.arange(n) + n)[:, None], negatives,
                                 1.0 / temperature, block=(rows, cols))
-        total = nn.add(total, term)
+        total = add(total, term)
     return total

@@ -1,5 +1,6 @@
 """Command line: config resolution, artifacts, determinism and exit codes."""
 
+import argparse
 import json
 import logging
 import os
@@ -56,6 +57,35 @@ def test_flag_overrides_config_file(tmp_path):
     assert cfg.alpha == 0.9             # flag wins
     assert cfg.tau == 0.7               # file wins over default
     assert cfg.beta == 1.0              # default preserved
+
+
+# a distinct, valid, non-default value for every flag named after a config
+# key; a new flag needs an entry here
+_FLAG_VALUES = {"dataset": SPEC, "setting": "noise", "rate": 0.25,
+                "noise_std": 0.7, "seed": 9, "out": "elsewhere",
+                "alpha": 0.3, "beta": 0.6, "tau": 0.9, "pos": 2.0,
+                "neg": 40.0, "batch": 32, "profile": "desk",
+                "rates": "0.1,0.2"}
+
+
+@pytest.mark.parametrize("command", ["train", "sweep", "ablate"])
+def test_every_flag_reaches_the_config(command):
+    parser = cli.build_parser()
+    (subparsers,) = [a for a in parser._actions
+                     if isinstance(a, argparse._SubParsersAction)]
+    argv = [command]
+    flags = {}
+    for action in subparsers.choices[command]._actions:
+        if action.dest in ("help", "config"):
+            continue
+        assert action.dest in DEFAULTS and action.dest in _FLAG_VALUES
+        flags[action.dest] = _FLAG_VALUES[action.dest]
+        argv += [action.option_strings[0], str(flags[action.dest])]
+    assert {"dataset", "seed", "alpha", "profile"} <= set(flags)
+    cfg = load_config(parser.parse_args(argv))
+    for key, value in flags.items():
+        want = [0.1, 0.2] if key == "rates" else value
+        assert getattr(cfg, key) == want != DEFAULTS[key], key
 
 
 def test_unknown_config_key_rejected(tmp_path):
@@ -221,23 +251,44 @@ def test_train_with_one_shared_synthetic_width(tmp_path, fast_cfg):
     ("ablate", {"settings": ["noise", "combined", "noise"]}, []),
     # distinct names but shared seeds: seeds take the rate to 6 decimals
     ("sweep", {}, ["--rates", "1e-7,2e-7"]),
+    # grids ablate would not read
+    ("ablate", {"rates": [0.1, 0.5]}, []),
+    ("ablate", {"ablations": ["rec"]}, []),
 ])
 def test_bad_config_exits_1_before_any_cell(tmp_path, command, config, extra):
     # run as a process, so an uncaught exception would show as a traceback
     path = tmp_path / "c.json"
     path.write_text(json.dumps(config))
     out = tmp_path / "out"
-    src = str(Path(glc.__file__).parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run(
-        [sys.executable, "-m", "glc.cli", command, "--dataset", SPEC,
-         "--profile", "desk", "--config", str(path), "--out", str(out),
-         *extra], capture_output=True, text=True, env=env, timeout=120)
+    proc = _run_cli(command, "--dataset", SPEC, "--profile", "desk",
+                    "--config", str(path), "--out", str(out), *extra)
     assert proc.returncode == 1, proc.stderr
     assert proc.stderr.startswith("config error:")
     assert proc.stderr.count("\n") == 1
     assert not (out / "cells").exists()
+
+
+def _run_cli(*argv):
+    """``python -m glc.cli *argv`` in a fresh process, output captured."""
+    src = str(Path(glc.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-m", "glc.cli", *argv],
+                          capture_output=True, text=True, env=env,
+                          timeout=120)
+
+
+@pytest.mark.parametrize("key, value", [("rates", [0.1, 0.5]),
+                                        ("ablations", ["rec"])])
+def test_ablate_names_the_grid_key_it_would_not_read(tmp_path, fast_cfg,
+                                                      capsys, key, value):
+    cfg = {**json.loads(Path(fast_cfg).read_text()), key: value}
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["ablate", "--dataset", SPEC, "--profile", "desk",
+                 "--config", str(path), "--out", str(tmp_path / "o")]) == 1
+    assert f"'{key}'" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 # ---------------------------------------------------------------------------
@@ -271,6 +322,17 @@ def test_malformed_manifest_is_an_io_error(tmp_path, fast_cfg):
         assert main(["train", "--dataset", str(src), "--profile", "desk",
                      "--config", fast_cfg,
                      "--out", str(tmp_path / "run")]) == 2, text
+
+
+def test_an_empty_view_file_exits_2_with_one_line(tmp_path):
+    src = tmp_path / "src"
+    save_dataset(make_synthetic(12, 2, 2, dims=3, seed=1), src)
+    (src / "view_1.csv").write_text("")
+    proc = _run_cli("train", "--dataset", str(src), "--profile", "desk",
+                    "--out", str(tmp_path / "run"))
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.count("\n") == 1
+    assert proc.stderr.startswith("i/o error:") and "view_1.csv" in proc.stderr
 
 
 def test_bad_noise_flags_exit_2_from_train_and_a_sweep_cell(tmp_path,

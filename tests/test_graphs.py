@@ -21,8 +21,8 @@ from glc.graphs import (GlobalAffinityGraph, PairSets, build_global_graph,
                         pair_counts, pairwise_contrastive_loss, select_pairs)
 from glc.nn import Tape, Tensor, backward, grad_check, take_rows
 from reference_chain import reference_ggc as _reference_ggc
-from reference_chain import (gram_chain, offset_total, pair_contrast,
-                             reference_pairwise)
+from reference_chain import (add, gram_chain, mul, offset_total,
+                             pair_contrast, reference_pairwise)
 
 
 # ---------------------------------------------------------------------------
@@ -629,14 +629,14 @@ def _ggc_values(loss_fn, sims_fn, views, tau, include, upstream):
         tape.watch(t)
     g = build_global_graph(feats)
     pairs = select_pairs(g, 3.0, 50.0)
-    loss = nn.mul(loss_fn(g, pairs, tau, include), upstream)
+    loss = mul(loss_fn(g, pairs, tau, include), upstream)
     grads = backward(tape, loss)
     out = [loss.data] + [grads[t] for t in feats]
 
     leaf = Tensor(g.sims.data.copy())
     tape = Tape()
     tape.watch(leaf)
-    sims_grad = backward(tape, nn.mul(sims_fn(leaf, pairs, tau, include),
+    sims_grad = backward(tape, mul(sims_fn(leaf, pairs, tau, include),
                                       upstream))[leaf]
     return out, sims_grad, pairs
 
@@ -820,7 +820,7 @@ def _cross_view_value_and_grads(total_fn, views, co, tau):
 def _reference_total(feats, co, tau):
     total = Tensor(0.0)
     for (u, v), (ru, rv) in co.items():
-        total = nn.add(total, reference_pairwise(
+        total = add(total, reference_pairwise(
             take_rows(feats[u], ru), take_rows(feats[v], rv), tau))
     return total
 
@@ -887,12 +887,13 @@ def test_lwc_total_records_one_pair_contrast_node_per_pair(monkeypatch):
         tape.watch(t)
     graph = build_global_graph(h)
     before = len(tape._nodes)
-    lwc_total(h, co, 0.5, graph)
+    total = lwc_total(h, co, 0.5, graph)
     # one node per pair with 2+ rows, each on the graph's unit rows, and
-    # the running sum's adds: no gather, stack or normalisation of its own
+    # one sum of them: no gather, stack or normalisation of its own
     contrast = [n for n in tape._nodes[before:] if n._parents == (graph.unit,)]
     assert contrast == calls and len(calls) == 2
-    assert len(tape._nodes) == before + 2 * len(calls)
+    assert tape._nodes[before:] == calls + [total]
+    assert total._parents == tuple(calls)
 
 
 def test_lwc_all_ones_weights_equal_unweighted():
@@ -988,7 +989,7 @@ def test_lwc_total_two_views_single_term():
 def _summed_pairwise(feats, co, tau):
     total = Tensor(0.0)
     for (u, v), (ru, rv) in co.items():
-        total = nn.add(total, pairwise_contrastive_loss(
+        total = add(total, pairwise_contrastive_loss(
             take_rows(feats[u], ru), take_rows(feats[v], rv), tau))
     return total
 

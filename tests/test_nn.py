@@ -15,14 +15,14 @@ import pytest
 from glc import nn
 from glc.errors import NumericError, ShapeError
 from glc.nn import (_BLOCK, ADAM_BETA1, ADAM_BETA2, ADAM_EPS, AdamState,
-                    Layer, Mlp, Tape, Tensor, adam_step, add, backward,
-                    concat_rows, dense, grad_check, mlp_forward, mul,
-                    record_segments, segment_pool, sq_error, take_rows,
-                    unit_rows)
-from reference_chain import (_normalize_rows, concat_cols, div, gather_cols,
-                             gather_pairs, gram_chain, logsumexp_rows, matmul,
-                             pair_contrast, reference_dense, relu, sqrt, sub,
-                             transpose, tsum)
+                    Layer, Mlp, Tape, Tensor, adam_step, backward, dense,
+                    grad_check, mlp_forward, record_segments, segment_pool,
+                    sq_error, sum_terms, take_rows, unit_rows)
+from reference_chain import (_normalize_rows, add, concat_cols, concat_rows,
+                             div, gather_cols, gather_pairs, gram_chain,
+                             logsumexp_rows, matmul, mul, pair_contrast,
+                             reference_dense, relu, sqrt, sub, transpose,
+                             tsum)
 
 
 def _identity_layer(n, activation="identity"):
@@ -399,7 +399,7 @@ def test_pair_contrast_mask_is_byte_equal_to_its_indices(sets, scale,
         t = Tensor(x.copy())
         tape = Tape()
         tape.watch(t)
-        loss = nn.mul(pair_contrast(t, positives, negatives, scale,
+        loss = mul(pair_contrast(t, positives, negatives, scale,
                                     include), -0.3)
         results.append((loss.data.tobytes(), backward(tape, loss)[t]))
     (value, grad), (want, want_grad) = results
@@ -474,7 +474,7 @@ def test_gram_contrast_is_byte_equal_to_the_matmul_chain(form, upstream,
                 np.fill_diagonal(chain.data, 1.0)
             node = pair_contrast(chain, positives, negatives, scale,
                                  include)
-        loss = nn.mul(node, upstream)
+        loss = mul(node, upstream)
         results.append((loss.data.tobytes(), backward(tape, loss)[t]))
     (value, grad), (want, want_grad) = results
     assert value == want
@@ -526,7 +526,7 @@ def test_backward_frees_what_a_node_saved_once_it_is_swept():
     block = (np.arange(4), np.arange(8))
     node = nn.gram_contrast(t, t.data[:4] @ t.data.T, positives, mask, 2.0,
                             block=block)
-    loss = nn.mul(node, 0.5)
+    loss = mul(node, 0.5)
     (softmax,) = [a for a in _saved_arrays(node._vjp) if a.shape == (4, 6)]
     probe = weakref.ref(softmax)
     del softmax
@@ -537,46 +537,59 @@ def test_backward_frees_what_a_node_saved_once_it_is_swept():
     assert all(n._vjp is None for n in nodes)
 
 
-def _byte_run(node_fn, x, weights):
-    """Value and gradient, as bytes, of ``sum(node_fn(t) * weights)`` on a
-    watched leaf ``t`` holding ``x``; the weights reach the node through
-    ``nn.mul``."""
-    t = Tensor(x.copy())
+def _byte_run(node_fn, xs, weights):
+    """Value and gradients, as bytes, of ``sum(node_fn(ts) * weights)`` on
+    watched leaves ``ts`` holding the arrays ``xs``; the weights reach the
+    node through ``mul``."""
+    ts = [Tensor(x.copy()) for x in xs]
     tape = Tape()
-    tape.watch(t)
-    out = node_fn(t)
+    for t in ts:
+        tape.watch(t)
+    out = node_fn(ts)
     loss = tsum(mul(out, weights))
+    grads = backward(tape, loss)
     return out.data.tobytes(), loss.data.tobytes(), \
-        backward(tape, loss)[t].tobytes()
+        [grads[t].tobytes() for t in ts]
 
 
 @pytest.mark.parametrize("upstream", [-0.0, 1e-300, 1e300])
 @pytest.mark.parametrize("shape", [(6, 4), (1, 4), (6, 1)])
 def test_unit_rows_is_byte_equal_to_the_four_node_chain(shape, upstream):
-    # one row or one column: one of _unbroadcast's sums has nothing to add
+    # the stack of parts, empty ones too, against concat_rows and the
+    # mul, tsum, sqrt, div chain; one row or one column: one of
+    # _unbroadcast's sums has nothing to add
     rng = np.random.default_rng(32)
     x = rng.normal(size=shape)
     if shape[1] > 1:
         x[:, 1] = -0.0                  # every row holds a -0.0
     weights = upstream * rng.choice([1.0, -1.0, 3.0], size=shape)
-    got = _byte_run(unit_rows, x, weights)
-    assert got == _byte_run(_normalize_rows, x, weights)
+    half = shape[0] // 2
+    for parts in ([x], np.split(x, [half, half])):
+        got = _byte_run(unit_rows, parts, weights)
+        assert got == _byte_run(lambda ts: _normalize_rows(concat_rows(ts)),
+                                parts, weights)
 
 
 @pytest.mark.parametrize("upstream", [-0.0, 1e-300, 1e300, -0.3])
 def test_sq_error_is_byte_equal_to_sub_mul_tsum(upstream):
+    # every view's error in one node against the sum from 0.0 of one sub,
+    # mul, tsum chain per view, an empty view among them
     rng = np.random.default_rng(33)
-    pred = rng.normal(size=(5, 3))
-    x = rng.normal(size=(5, 3))
-    pred[0], x[0] = -0.0, 0.0           # differences of -0.0
-    x[1] = pred[1]                      # and of +0.0
+    preds = [rng.normal(size=(5, 3)), np.zeros((0, 3)), rng.normal(size=(4, 2))]
+    xs = [rng.normal(size=p.shape) for p in preds]
+    preds[0][0], xs[0][0] = -0.0, 0.0   # differences of -0.0
+    xs[0][1] = preds[0][1]              # and of +0.0
 
-    def chain(t):
-        diff = sub(t, Tensor(x))
-        return tsum(mul(diff, diff))
+    def chain(ts):
+        total = Tensor(0.0)
+        for t, x in zip(ts, xs):
+            diff = sub(t, Tensor(x))
+            total = add(total, tsum(mul(diff, diff)))
+        return total
 
-    got = _byte_run(lambda t: sq_error(t, x), pred, upstream)
-    assert got == _byte_run(chain, pred, upstream)
+    for k in (1, 3):
+        got = _byte_run(lambda ts: sq_error(ts, xs[:k]), preds[:k], upstream)
+        assert got == _byte_run(chain, preds[:k], upstream)
 
 
 def test_unit_rows_rejects_a_zero_norm_row():
@@ -585,16 +598,85 @@ def test_unit_rows_rejects_a_zero_norm_row():
         if requires_grad:
             Tape().watch(t)
         with pytest.raises(NumericError):
-            unit_rows(t)
+            unit_rows([Tensor(np.ones((2, 2))), t])
 
 
 def test_nodes_on_a_constant_input_record_nothing():
     tape = Tape()
     tape.watch(Tensor(np.ones(2)))
     x = Tensor(np.array([[3.0, 4.0], [1.0, 0.0]]))
-    for out in (unit_rows(x), sq_error(x, np.zeros((2, 2)))):
+    for out in (unit_rows([x, x]), sq_error([x, x], [np.zeros((2, 2))] * 2),
+                sum_terms([Tensor(2.0), 3.0], [0.5, 1.0])):
         assert out.tape is None and not out.requires_grad
     assert tape._nodes == []
+
+
+def _sum_run(fn, values, upstream):
+    """Value and gradients, as bytes, of ``fn(ts) * upstream`` on watched
+    scalar leaves ``ts`` holding ``values``; a constant result has none."""
+    ts = [Tensor(v) for v in values]
+    tape = Tape()
+    for t in ts:
+        tape.watch(t)
+    out = fn(ts)
+    if out.tape is None:
+        return out.data.tobytes(), out.requires_grad
+    loss = mul(out, upstream)
+    grads = backward(tape, loss)
+    return out.data.tobytes(), loss.data.tobytes(), \
+        [grads[t].tobytes() for t in ts]
+
+
+@pytest.mark.parametrize("upstream", [-0.0, 1e-300, 1e300, -0.3])
+@pytest.mark.parametrize("pick", [(), (0,), (0, 1, 2, 3), (2, None, 1)],
+                         ids=["empty", "one", "four", "constant"])
+def test_sum_terms_is_byte_equal_to_the_add_chain(pick, upstream):
+    # unit weights against the running sum from Tensor(0.0); None picks a
+    # constant term, which takes no gradient, and no term records nothing
+    values = [0.7, -2.25, 3e7, 5e-324]
+
+    def terms(ts):
+        return [Tensor(4.5) if i is None else ts[i] for i in pick]
+
+    def running(ts):
+        total = Tensor(0.0)
+        for t in terms(ts):
+            total = add(total, t)
+        return total
+
+    assert _sum_run(lambda ts: sum_terms(terms(ts)), values, upstream) == \
+        _sum_run(running, values, upstream)
+
+
+@pytest.mark.parametrize("upstream", [-0.0, 1e-300, 1e300, -0.3])
+@pytest.mark.parametrize("weights", [(1.0, 0.1, 1.0), (1.0, 0.0, 2.5),
+                                     (1.0, 0.0, 0.0), (1.0, -3.0, 1e-300)])
+def test_sum_terms_is_byte_equal_to_the_weighted_chain(weights, upstream):
+    # the objective's sum: the first term as it is, then add(mul(w, t)) for
+    # each later term of nonzero weight; a weight of 0 leaves its term out,
+    # constant or not, and with it its gradient
+    values = [-0.0, 2.75, -1.5]
+    for constant in (False, True):
+        def chain(ts):
+            terms = ts[:2] + [4.5] if constant else ts
+            out = terms[0]
+            for t, w in zip(terms[1:], weights[1:]):
+                if w != 0.0:
+                    out = add(out, mul(w, t))
+            return out
+
+        def node(ts):
+            return sum_terms(ts[:2] + [4.5] if constant else ts, weights)
+
+        assert _sum_run(node, values, upstream) == \
+            _sum_run(chain, values, upstream)
+
+
+def test_sum_terms_checks_its_terms():
+    with pytest.raises(ShapeError):
+        sum_terms([Tensor(1.0), Tensor(2.0)], [1.0])
+    with pytest.raises(ShapeError):
+        sum_terms([Tensor(np.ones(2))])
 
 
 def _dense_fixture():

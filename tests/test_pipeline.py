@@ -92,16 +92,16 @@ def test_config_validation():
 # ---------------------------------------------------------------------------
 
 def test_total_loss_reduces_to_rec():
-    assert total_loss(2.5, 7.0, -3.0, 0.0, 0.0) == 2.5
+    assert total_loss(2.5, 7.0, -3.0, 0.0, 0.0).item() == 2.5
 
 
 def test_total_loss_hand_value():
-    np.testing.assert_allclose(total_loss(2.0, -1.0, 3.0, 0.1, 1.0), 4.9)
+    np.testing.assert_allclose(total_loss(2.0, -1.0, 3.0, 0.1, 1.0).item(), 4.9)
 
 
 def test_total_loss_linear_in_alpha():
-    a = total_loss(1.0, 3.0, 0.5, 0.1, 1.0)
-    b = total_loss(1.0, 3.0, 0.5, 0.2, 1.0)
+    a = total_loss(1.0, 3.0, 0.5, 0.1, 1.0).item()
+    b = total_loss(1.0, 3.0, 0.5, 0.2, 1.0).item()
     np.testing.assert_allclose(b - a, 0.1 * 3.0)
 
 
@@ -385,24 +385,33 @@ def test_a_step_runs_the_heads_only_for_a_contrastive_term(
 
 
 @pytest.mark.parametrize("joint, census", [
-    (False, {"dense": 18, "sq_error": 3, "add": 3}),
-    (True, {"dense": 24, "gram_contrast": 4, "unit_rows": 1, "sq_error": 3,
-            "concat_rows": 1, "add": 8, "mul": 2}),
-    pytest.param({"alpha": 0.0}, {"dense": 24, "gram_contrast": 3,
-                                  "unit_rows": 1, "sq_error": 3,
-                                  "concat_rows": 1, "add": 7, "mul": 1},
+    (False, {"dense": 18, "sq_error": 1, "sum_terms": 1}),             # 20
+    (True, {"dense": 24, "gram_contrast": 4, "unit_rows": 1,           # 32
+            "sq_error": 1, "sum_terms": 2}),
+    pytest.param({"alpha": 0.0}, {"dense": 24, "gram_contrast": 3,     # 31
+                                  "unit_rows": 1, "sq_error": 1,
+                                  "sum_terms": 2},
                  id="alpha0"),
+    pytest.param({"beta": 0.0}, {"dense": 24, "gram_contrast": 1,      # 28
+                                 "unit_rows": 1, "sq_error": 1,
+                                 "sum_terms": 1},
+                 id="beta0"),
+    pytest.param({"dataset": "synthetic:n=300,v=2,k=3,dims=20|20,sep=1.0"},
+                 {"dense": 16, "gram_contrast": 2, "unit_rows": 1,     # 22
+                  "sq_error": 1, "sum_terms": 2},
+                 id="two_views"),
 ])
 def test_a_desk_step_records_its_node_census(monkeypatch, joint, census):
     # gate 6's combined cell: per view 3 encoder, 3 decoder and 2 head
-    # layers; one stack of unit rows, read by the global term and the
-    # 3 view pairs; with alpha = 0 the graph is built but no pair selected
+    # layers; one reconstruction node over the views; one stack of unit
+    # rows, read by the global term and each view pair's term; one sum of
+    # the pair terms and one of the objective's terms; with alpha = 0 the
+    # graph is built but no pair selected, with beta = 0 no pair term runs
     overrides = joint if isinstance(joint, dict) else {}
     joint = bool(joint)
-    cfg = Config(profile="desk", seed=4, batch=256,
-                 dataset="synthetic:n=300,v=3,k=3,dims=20|20|20,sep=1.0",
-                 **overrides)
-    cfg = cfg.resolved()
+    settings = {"profile": "desk", "seed": 4, "batch": 256,
+                "dataset": "synthetic:n=300,v=3,k=3,dims=20|20|20,sep=1.0"}
+    cfg = Config(**{**settings, **overrides}).resolved()
     base, _ = resolve_dataset(cfg, cfg.seed)
     ds = corrupt_dataset(base, "combined", 0.3, cfg.noise_std, cfg.seed)
     model = build_model(ds, cfg)
@@ -426,9 +435,7 @@ def test_a_desk_step_records_its_node_census(monkeypatch, joint, census):
     batch = next(iter_epoch(ds, cfg.batch, np.random.default_rng(0)))
     pipeline._step(model, batch, cfg, None, states, updates, joint, 1, 0)
     assert counts == [Counter(census)]
-    assert sum(census.values()) == (24 if not joint else
-                                    40 if overrides else 43)
-    assert len(selected) == (joint and not overrides)
+    assert len(selected) == (joint and cfg.alpha > 0)
 
 
 def _assert_each_step_is_freed(monkeypatch, cfg):
