@@ -15,10 +15,8 @@ SHA-256 of (master seed, setting, rate), so adding cells never reshuffles
 existing ones and any cell can be reproduced in isolation.
 
 ``GLC_THREADS`` caps how many sweep cells run in parallel processes (a
-positive integer; default 1, serial); a model with a parameter over 65,536
-elements trains on one thread per view, so N cells keep up to N x views
-threads busy, plus BLAS's own (``OPENBLAS_NUM_THREADS`` above 1
-oversubscribes the cores).  Exit codes, the same for a whole run and for
+positive integer; default 1, serial); :mod:`glc.nn` notes how that adds to
+the views' threads and BLAS's.  Exit codes, the same for a whole run and for
 each sweep cell (:func:`exit_code`): 0 success, 1 configuration error, 2
 I/O or data-format error, 3 numerical abort during training.
 """
@@ -30,6 +28,7 @@ import logging
 import os
 import sys
 import time
+import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, replace
 from pathlib import Path
@@ -50,6 +49,8 @@ SCHEMA_VERSION = 3
 
 # every config key with its default, as a plain dict
 DEFAULTS = asdict(Config())
+# the keys that make a grid of cells; only sweep reads all three
+GRIDS = ("rates", "settings", "ablations")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -169,7 +170,7 @@ def resolved_cell_config(cfg, setting, rate, ablation):
     """The config a cell runs: ``cfg`` resolved at one cell, minus the grids."""
     cell = asdict(replace(cfg.resolved(), setting=setting, rate=rate,
                           ablation=ablation))
-    for key in ("rates", "settings", "ablations"):
+    for key in GRIDS:
         del cell[key]
     return cell
 
@@ -265,8 +266,18 @@ def _write_json(path, obj):
 # subcommands
 # ---------------------------------------------------------------------------
 
+def _refuse_grids(cfg, keys, command):
+    """A ConfigError naming the first of ``keys`` set in ``cfg``."""
+    for key in keys:
+        if getattr(cfg, key) is not None:
+            raise ConfigError(f"{command} and does not read {key!r}; "
+                              f"sweep does")
+
+
 def cmd_prepare(cfg):
     """Write to disk exactly the dataset ``train`` would train on."""
+    _refuse_grids(cfg, GRIDS, "prepare writes one dataset")
+    cfg = cfg.resolved()
     base, _ = resolve_dataset(cfg, cfg.seed)
     dataset = corrupt_dataset(base, cfg.setting, cfg.rate, cfg.noise_std,
                               cfg.seed)
@@ -276,6 +287,8 @@ def cmd_prepare(cfg):
 
 
 def cmd_train(cfg):
+    _refuse_grids(cfg, GRIDS, "train runs one cell")
+    cfg = cfg.resolved()
     result = run_cell(cfg, cfg.setting, cfg.rate, cfg.ablation,
                       out_dir=Path(cfg.out))
     res = result["results"]
@@ -356,7 +369,7 @@ def _run_cells(cfg, cells, out_root):
 
 def cmd_sweep(cfg):
     out = Path(cfg.out)
-    cells = [(s, r, a) for s in cfg.settings or [cfg.setting]
+    cells = [(s, r, a) for s in cfg.settings or [cfg.resolved().setting]
              for r in cfg.rates or [cfg.rate]
              for a in cfg.ablations or [cfg.ablation]]
     results, code = _run_cells(cfg, cells, out)
@@ -401,12 +414,11 @@ def cmd_sweep(cfg):
 
 
 def cmd_ablate(cfg):
-    for key in ("rates", "ablations"):
-        if getattr(cfg, key) is not None:
-            raise ConfigError(f"ablate runs every ablation row at one rate "
-                              f"and does not read {key!r}; use sweep")
+    _refuse_grids(cfg, ("rates", "ablations"),
+                  "ablate runs every ablation row at one rate")
     out = Path(cfg.out)
-    settings = cfg.settings or ["incomplete", "noise", "combined"]
+    settings = cfg.settings or ([cfg.setting] if cfg.setting
+                                else ["incomplete", "noise", "combined"])
     cells = [(s, cfg.rate, a) for s in settings for a in ABLATIONS]
     results, code = _run_cells(cfg, cells, out)
     by_key = {(s, a): r for (s, _, a), r in zip(cells, results)}
@@ -442,15 +454,17 @@ def cmd_ablate(cfg):
 # ---------------------------------------------------------------------------
 
 def main(argv=None):
+    """Run a command; on error print one line, on success log each warning."""
     logging.basicConfig(level=logging.INFO,
                         format="%(levelname)s %(name)s: %(message)s")
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-        cfg = load_config(args)
-        command = {"prepare": cmd_prepare, "train": cmd_train,
-                   "sweep": cmd_sweep, "ablate": cmd_ablate}[args.command]
-        return command(cfg)
+        with warnings.catch_warnings(record=True) as caught:
+            args = parser.parse_args(argv)
+            cfg = load_config(args)
+            command = {"prepare": cmd_prepare, "train": cmd_train,
+                       "sweep": cmd_sweep, "ablate": cmd_ablate}[args.command]
+            code = command(cfg)
     except (GlcError, OSError) as err:
         code = exit_code(err)
         label = {2: "i/o error", 3: "numerical abort"}.get(
@@ -461,6 +475,10 @@ def main(argv=None):
         # a phase's view workers are joined by its segment_pool on the way
         print("interrupted", file=sys.stderr)
         return 130
+    for w in caught:
+        logger.warning("%s:%d: %s: %s", Path(w.filename).name, w.lineno,
+                       w.category.__name__, w.message)
+    return code
 
 
 def entry():

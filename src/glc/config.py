@@ -120,11 +120,11 @@ class Config:
 
     Construction (also by ``from_dict`` and ``dataclasses.replace``)
     coerces and checks every value and raises ConfigError on the first bad
-    one.  ``None`` in a profile field means "use the profile's value".
+    one; :meth:`resolved` fills the fields left at ``None``.
     """
 
     dataset: str | None = _key(None, _optional(_TEXT))
-    setting: str = _key("clean", _one_of(SETTINGS))
+    setting: str | None = _key(None, _optional(_one_of(SETTINGS)))
     rate: float = _key(0.0, _FRACTION)
     rates: list | None = _key(None, _optional(_list_of(_FRACTION)))
     settings: list | None = _key(None, _optional(_list_of(_one_of(SETTINGS))))
@@ -172,7 +172,8 @@ class Config:
         return cls(**values)
 
     def resolved(self):
-        """A copy with the profile's value in each field left at ``None``."""
-        profile = PROFILES[self.profile]
+        """A copy with each field left at ``None`` filled: a profile field
+        with the profile's value, ``setting`` with ``clean``."""
+        profile = {**PROFILES[self.profile], "setting": "clean"}
         return replace(self, **{k: v for k, v in profile.items()
                                 if getattr(self, k) is None})

@@ -379,7 +379,6 @@ def lwc_total(h_list, co_available, temperature, graph=None):
             cols = np.concatenate([gu, starts[v] + rows_v])
             keep = np.tile(~np.eye(n, dtype=bool), 2)     # all but i and n+i
             terms.append(nn.gram_contrast(
-                graph.unit, graph.sims.data[np.ix_(gu, cols)],
-                (np.arange(n) + n)[:, None], keep, 1.0 / temperature,
-                block=(gu, cols)))
+                graph.unit, graph.sims.data, (np.arange(n) + n)[:, None], keep,
+                1.0 / temperature, block=(gu, cols)))
     return nn.sum_terms(terms)

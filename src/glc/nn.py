@@ -41,11 +41,11 @@ Training hands each parameter to its optimizer during the sweep: with
 nodes that consume a parameter (its earliest consumer on the tape),
 ``backward`` calls the segment's update with that parameter and its
 gradient, in the segment's task, and drops the gradient.  A segment then
-holds about one layer's weight gradient at a time.  :class:`AdamState`
-updates one parameter at a time (:meth:`AdamState.start`, then
-:meth:`AdamState.update`), the same path :func:`adam_step` runs; an error
-there stops the sweep after the parameters handed off before it were
-updated.
+holds about one layer's weight gradient at a time.  An :class:`AdamState`
+owns its parameters and updates one at a time (:meth:`AdamState.start`,
+then :meth:`AdamState.update` with the tensor), the path :func:`adam_step`
+runs too; an error there stops the sweep after the parameters handed off
+before it were updated.
 
 Matrix products go through numpy's BLAS.  Those kernels are deterministic
 for a fixed environment and BLAS thread count; the thread count comes from
@@ -64,7 +64,7 @@ import functools
 import math
 from concurrent.futures import ThreadPoolExecutor, wait
 from contextlib import nullcontext
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -358,42 +358,40 @@ def _contrast(x, positives, negatives, scale, include):
     return out, grad
 
 
-def gram_contrast(unit, sims, positives, negatives, scale,
-                  include_positive_in_denominator=False, block=None):
+def gram_contrast(unit, sims, positives, negatives, scale, include=False,
+                  block=None):
     """InfoNCE over per-row partner sets of a Gram block of an (N, d)
     matrix U = ``unit``, as one tape node whose parent is U.
 
-    ``sims`` is the block, formed by the caller: ``U @ U.T`` (the global
-    graph's similarities; no pair set reads the diagonal) or, given
-    ``block = (rows, cols)`` of distinct row indices, ``U[rows] @
-    U[cols].T`` (a view pair's ``[s_uu | s_uv]``).  :func:`_contrast`
-    defines the value, the two forms of ``negatives`` and the gradient
-    buffer G; of the (m, c) arrays only its saved softmax outlives the
-    forward pass, until :func:`backward` sweeps the node.  The VJP returns
-    ``G @ U + (U.T @ G).T`` for the square block; for a block it adds
-    ``(U[rows].T @ G).T`` into rows ``cols`` of zeros, then ``G @ U[cols]``
-    into rows ``rows``: the sums of the ``take_rows``, ``transpose`` and
-    ``matmul`` nodes that once formed the block, so value and gradient are
-    byte-equal to that chain (``tests/reference_chain.py``).
+    ``sims`` is ``U @ U.T``, (N, N), formed by the caller (the global
+    graph's similarities; no pair set reads the diagonal).  Given ``block =
+    (rows, cols)`` of distinct row indices the node gathers and reads
+    ``sims[rows][:, cols]`` (a view pair's ``[s_uu | s_uv]``), else all of
+    it.  :func:`_contrast` defines the value, the two forms of
+    ``negatives`` and the gradient buffer G; only its saved softmax
+    outlives the forward pass, until :func:`backward` sweeps the node.
+    The VJP adds ``(U[rows].T @ G).T`` into rows ``cols`` of zeros, then
+    ``G @ U[cols]`` into rows ``rows`` (every row without a block): the
+    sums of the ``take_rows``, ``transpose`` and ``matmul`` nodes that once
+    formed the block, so value and gradient are byte-equal to that chain
+    (``tests/reference_chain.py``), on all of ``sims`` up to the sign of
+    an exact zero.
     """
     unit = _wrap(unit)
     u = unit.data
-    x = np.asarray(sims)
+    sims = np.asarray(sims)
     if u.ndim != 2:
         raise ShapeError("a contrastive term needs a 2-D matrix")
-    shape = (len(u),) * 2 if block is None else tuple(map(len, block))
-    if x.shape != shape:
-        raise ShapeError("the similarities need the Gram block's shape")
-    out, grad = _contrast(x, positives, negatives, scale,
-                          include_positive_in_denominator)
+    if sims.shape != (len(u),) * 2:
+        raise ShapeError("the similarities need the Gram matrix's shape")
+    x = sims if block is None else sims[np.ix_(*block)]
+    out, grad = _contrast(x, positives, negatives, scale, include)
 
     def vjp(g):
         if not unit.requires_grad:
             return (None,)
         buf = grad(g)
-        if block is None:
-            return (buf @ u + (u.T @ buf).T,)
-        rows, cols = block
+        rows, cols = (slice(None),) * 2 if block is None else block
         g_u = np.zeros(u.shape)
         g_u[cols] += (u[rows].T @ buf).T
         g_u[rows] += buf @ u[cols]
@@ -517,13 +515,13 @@ def backward(tape, loss, updates=None):
     pool if it has one, so every sum happens in the order of one sweep
     over the whole tape.
 
-    With ``updates``, segment k's parameters go to ``updates[k](param,
-    grad)`` one at a time, in the segment's task, each as soon as the
-    sweep has passed the last of the segment's nodes that consume it (a
-    parameter none consumes goes at the end, with zeros or what the nodes
-    above passed it).  Each is handed off once, and its gradient is then
-    dropped; the result leaves them out.  An error in an update ends that
-    segment's sweep, but parameters handed off before it stay updated.
+    A segment's sweep hands off each of its parameters once, in the
+    segment's task, as soon as it has passed the last of the segment's
+    nodes that consume it (one none consumes goes at the end, with zeros or
+    what the nodes above passed it), then drops its gradient: to the
+    result, or with ``updates`` to ``updates[k](param, grad)`` for segment
+    k.  An error in an update ends that segment's sweep, but parameters
+    handed off before it stay updated.
     """
     if not isinstance(loss, Tensor) or loss.tape is not tape:
         raise ValueError("loss was not computed on this tape")
@@ -544,12 +542,11 @@ def backward(tape, loss, updates=None):
 
     def sweep_segment(k, own):
         node_slice, param_slice = segments[k]
-        if updates is not None:
-            _sweep_handing_off(nodes[node_slice], watched[param_slice], own,
-                               updates[k])
-            return {}
-        _sweep(nodes[node_slice], own)
-        return {param: _take(own, param) for param in watched[param_slice]}
+        params = watched[param_slice]
+        got = {} if updates is not None else dict.fromkeys(params)
+        _sweep_handing_off(nodes[node_slice], params, own,
+                           got.__setitem__ if updates is None else updates[k])
+        return got
 
     result = {}
     for got in _each(tape._pool, sweep_segment, shares()):
@@ -719,64 +716,55 @@ def _block_plan(shapes):
     return [[(i, *views[b]) for i, b in blocks] for blocks in cuts]
 
 
-def _check_shapes(param, m, v, grad):
-    if grad.shape != param.data.shape:
-        raise ShapeError(
-            f"gradient shape {grad.shape} != parameter shape {param.data.shape}")
-    if m.shape != param.data.shape or v.shape != param.data.shape:
-        raise ShapeError("optimizer state does not match the parameter list")
-
-
-@dataclass
 class AdamState:
-    """Per-parameter first/second moment buffers plus the shared step count.
+    """One optimizer over ``params``: their first/second moment buffers,
+    the shared step count and, per parameter, the blocks an update walks
+    and their views of one block-sized scratch buffer.
 
     A step is :meth:`start`, then :meth:`update` once per parameter, in any
-    order; :func:`adam_step` does both.  ``_blocks`` holds, per parameter,
-    the blocks an update walks and their views of one block-sized scratch
-    buffer; the first step builds it and every later step reuses it.
-    States that update at the same time need a scratch buffer each, so each
-    needs a state of its own.
+    order; :func:`adam_step` does both.  States that update at the same
+    time need a scratch buffer each, so each needs a state of its own.
+    The first step plans the blocks, so the scratch buffer lands above its
+    temporaries on the heap and keeps glibc from trimming pages that each
+    later step faults in again (a desk warm-up: 30 times the faults).
     """
 
-    learning_rate: float = 1e-3
-    step: int = 0
-    first_moment: list = field(default_factory=list)
-    second_moment: list = field(default_factory=list)
-    _blocks: list = field(default=None, init=False, repr=False, compare=False)
-    _bias: tuple = field(default=None, init=False, repr=False, compare=False)
+    def __init__(self, params, learning_rate=1e-3):
+        self.params = list(params)
+        self.learning_rate = learning_rate
+        self.step = 0
+        self.first_moment = [np.zeros_like(p.data) for p in self.params]
+        self.second_moment = [np.zeros_like(p.data) for p in self.params]
+        self._index = {p: i for i, p in enumerate(self.params)}
+        self._blocks = self._bias = None
 
-    @classmethod
-    def for_params(cls, params, learning_rate=1e-3):
-        state = cls(learning_rate=learning_rate)
-        state.first_moment = [np.zeros_like(p.data) for p in params]
-        state.second_moment = [np.zeros_like(p.data) for p in params]
-        return state
+    def _find(self, param, grad):
+        """``param``'s index; ShapeError if foreign or ``grad`` misfits."""
+        i = self._index.get(param)
+        if i is None:
+            raise ShapeError("the optimizer state does not hold this tensor")
+        if grad.shape != param.data.shape:
+            raise ShapeError(f"gradient shape {grad.shape} != parameter "
+                             f"shape {param.data.shape}")
+        return i
 
     def start(self):
         """Begin a step: count it and fix its bias corrections (and, on the
         first step, plan the parameters' blocks)."""
         if self._blocks is None:
-            self._blocks = _block_plan([m.shape for m in self.first_moment])
+            self._blocks = _block_plan([p.data.shape for p in self.params])
         self.step += 1
         self._bias = (1.0 - ADAM_BETA1 ** self.step,
                       1.0 - ADAM_BETA2 ** self.step)
 
-    def update(self, i, param, grad):
-        """Update ``param``, the ``i``-th parameter, and its moments with
-        ``grad`` in the step :meth:`start` began.  A bad shape raises
-        ``ShapeError`` before anything of this parameter changes."""
+    def update(self, param, grad):
+        """Update ``param`` and its moments with ``grad`` in the step
+        :meth:`start` began.  A tensor this state does not hold or a bad
+        shape raises ``ShapeError`` before anything changes."""
         grad = np.asarray(grad, dtype=np.float64)
-        m, v = self.first_moment[i], self.second_moment[i]
-        _check_shapes(param, m, v, grad)
-        _update_param(self, *self._bias, param.data, m, v, grad,
-                      self._blocks[i])
-
-    def by_param(self, params):
-        """:meth:`update` keyed by the tensors ``params`` lists, in the form
-        :func:`backward` hands gradients to."""
-        index = {p: i for i, p in enumerate(params)}
-        return lambda param, grad: self.update(index[param], param, grad)
+        i = self._find(param, grad)
+        _update_param(self, *self._bias, param.data, self.first_moment[i],
+                      self.second_moment[i], grad, self._blocks[i])
 
 
 def _adam_update(state, bias1, bias2, p, m, v, g, t, u):
@@ -817,17 +805,18 @@ def _update_param(state, bias1, bias2, p, m, v, g, blocks):
         _adam_update(state, bias1, bias2, p[i], m[i], v[i], gb, t, u)
 
 
-def adam_step(state, params, grads):
-    """One Adam update with bias correction, applied in place.
+def adam_step(state, grads):
+    """One Adam update of ``state.params`` with bias correction, in place.
 
     ``grads`` is either the mapping returned by :func:`backward` or a
-    sequence aligned with ``params``.  Every length and shape is checked
-    before anything changes, so a bad gradient raises ``ShapeError`` and
-    leaves parameters, moments and ``state.step`` as they were.  It then
-    runs :meth:`AdamState.start` and :meth:`AdamState.update` for each
-    parameter, the path a ``backward`` hand-off takes one parameter at a
-    time; there a bad gradient raises before its own parameter changes,
-    but parameters handed off earlier in the step are already updated.
+    sequence aligned with ``state.params``.  Every length and shape is
+    checked before anything changes, so a bad gradient raises
+    ``ShapeError`` and leaves parameters, moments and ``state.step`` as
+    they were.  It then runs :meth:`AdamState.start` and
+    :meth:`AdamState.update` for each parameter, the path a ``backward``
+    hand-off takes one parameter at a time; there a bad gradient raises
+    before its own parameter changes, but parameters handed off earlier in
+    the step are already updated.
 
     Each element goes through the same operations in the same order as the
     whole-array formula::
@@ -842,22 +831,17 @@ def adam_step(state, params, grads):
     blocks of whole rows (:func:`_block_plan`), so every pass over a block
     runs in cache.
     """
-    moments = state.first_moment, state.second_moment
-    if any(len(ms) != len(params) for ms in moments):
-        raise ShapeError("optimizer state does not match the parameter list")
+    params = state.params
     if isinstance(grads, dict):
-        grad_list = [grads[p] for p in params]
-    else:
-        grad_list = list(grads)
-        if len(grad_list) != len(params):
-            raise ShapeError("gradient list does not match the parameter list")
-    grad_list = [np.asarray(g, dtype=np.float64) for g in grad_list]
-    for p, m, v, g in zip(params, *moments, grad_list):
-        _check_shapes(p, m, v, g)
+        grads = [grads[p] for p in params]
+    grads = [np.asarray(g, dtype=np.float64) for g in grads]
+    if len(grads) != len(params):
+        raise ShapeError("gradient list does not match the parameter list")
+    for p, g in zip(params, grads):
+        state._find(p, g)
     state.start()
-    for i, (p, g) in enumerate(zip(params, grad_list)):
-        state.update(i, p, g)
-    return params, state
+    for p, g in zip(params, grads):
+        state.update(p, g)
 
 
 def segment_pool(params, workers):

@@ -31,20 +31,19 @@ opens one :func:`glc.nn.segment_pool` of one worker per view: when a
 parameter has more than 65,536 elements (most ``paper``-profile weights)
 each view's forward pass and reverse sweep run on its worker, calling
 ``glc.nn`` only, while losses and graph stay on the calling thread;
-otherwise the same calls run in a loop, bit-identically.  Each view has an
-Adam state of its own, and the sweep hands it each parameter as soon as
-that parameter's gradient is final (:func:`glc.nn.backward`), so a view
-holds about one layer's weight gradient at a time.  A bad gradient shape
-raises there, after the parameters handed off before it were updated; the
-run then stops.
-``GLC_THREADS=N`` can keep N x views threads busy, plus BLAS's own, so
-``OPENBLAS_NUM_THREADS`` above 1 oversubscribes the cores.
+otherwise the same calls run in a loop, bit-identically (:mod:`glc.nn`
+has the note on threads and BLAS).  Each view has an Adam state that owns
+its parameters, and the sweep hands it each parameter as soon as that
+parameter's gradient is final (:func:`glc.nn.backward`), so a view holds
+about one layer's weight gradient at a time.  A bad gradient shape raises
+there, after the parameters handed off before it were updated; the run
+then stops.
 """
 
 import logging
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -130,20 +129,20 @@ def _abort_diagnostics(feats, batch, rec, ggc, lwc):
     return "total", None
 
 
-def _step(model, batch, config, pool, states, updates, joint, epoch, bi):
+def _step(model, batch, config, pool, states, epoch, bi):
     """One update on ``batch``; returns its loss components as floats.
 
-    ``states`` are the views' Adam states; ``updates`` their one-parameter
-    updates, which ``backward`` calls during its sweep.
+    ``states`` are the views' Adam states, whose one-parameter updates
+    ``backward`` calls during its sweep.  ``config`` alone sets the
+    objective: the warm-up is the step at ``alpha`` = ``beta`` = 0.
 
     The step's tape, features and gradients are locals, so they are freed
     when it returns, before the next batch's forward pass.  The projection
-    heads run only when the objective has a contrastive term (not in the
-    warm-up, nor in a joint phase with ``alpha`` = ``beta`` = 0).
+    heads run only when the objective has a contrastive term.
     Also returns whether some view pair had 2+ common samples.
     """
     tape = Tape(pool)
-    contrast = joint and (config.alpha > 0 or config.beta > 0)
+    contrast = config.alpha > 0 or config.beta > 0
     feats = forward_views(model, batch, tape, contrast)
     rec = reconstruction_loss(feats, batch)
     ggc = lwc = None
@@ -171,8 +170,7 @@ def _step(model, batch, config, pool, states, updates, joint, epoch, bi):
         del graph
     loss = total_loss(rec, ggc if ggc is not None else 0.0,
                       lwc if lwc is not None else 0.0,
-                      config.alpha if joint else 0.0,
-                      config.beta if joint else 0.0)
+                      config.alpha, config.beta)
     value = float(loss.data)
     if not math.isfinite(value):
         comp, view = _abort_diagnostics(feats, batch, rec, ggc, lwc)
@@ -182,7 +180,7 @@ def _step(model, batch, config, pool, states, updates, joint, epoch, bi):
             epoch=epoch, batch=bi, view=view)
     for state in states:
         state.start()
-    backward(tape, loss, updates)
+    backward(tape, loss, [state.update for state in states])
     return {"rec": float(rec.data),
             "ggc": float(ggc.data) if ggc is not None else 0.0,
             "lwc": float(lwc.data) if lwc is not None else 0.0,
@@ -193,16 +191,15 @@ def _run_phase(model, dataset, config, history, phase):
     """Run the epochs of one phase, ``"pretrain"`` or ``"train"``.
 
     ``phase`` is both the batch-order rng's tag and the records' phase;
-    only ``"train"`` adds the contrastive terms and metric checkpoints.
-    One :func:`glc.nn.segment_pool` spans the phase, so its threads are
-    shut down before this returns or raises.
+    the warm-up steps at ``alpha`` = ``beta`` = 0, and only ``"train"``
+    runs metric checkpoints.  One :func:`glc.nn.segment_pool` spans the
+    phase, so its threads are shut down before this returns or raises.
     """
     cfg = config.resolved()
     joint = phase == "train"
-    views = [view.parameters() for view in model]
-    states = [AdamState.for_params(params, learning_rate=cfg.lr)
-              for params in views]
-    updates = [state.by_param(params) for state, params in zip(states, views)]
+    if not joint:
+        cfg = replace(cfg, alpha=0.0, beta=0.0)
+    states = [AdamState(view.parameters(), cfg.lr) for view in model]
     rng = np.random.default_rng(derive_seed(cfg.seed, phase))
     with segment_pool(model_parameters(model), len(model)) as pool:
         for e in range(1, (cfg.epochs if joint else cfg.pretrain_epochs) + 1):
@@ -212,11 +209,11 @@ def _run_phase(model, dataset, config, history, phase):
             paired = False
             for bi, batch in enumerate(iter_epoch(dataset, cfg.batch, rng)):
                 losses, batch_paired = _step(model, batch, cfg, pool, states,
-                                             updates, joint, e, bi)
+                                             e, bi)
                 for key, value in losses.items():
                     sums[key] += value
                 paired = paired or batch_paired
-            if joint and cfg.beta > 0 and not paired:
+            if cfg.beta > 0 and not paired:
                 logger.warning("epoch %d: no view pair had 2+ common samples; "
                                "the cross-view term was inert", e)
             record = EpochRecord(epoch=epoch, phase=phase, **sums)

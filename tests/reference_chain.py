@@ -351,7 +351,7 @@ def offset_total(h_list, co_available, temperature):
         cols = np.concatenate([rows, starts[v] + np.asarray(rows_v)])
         negatives = np.array([[j for j in range(2 * n) if j not in (i, n + i)]
                               for i in range(n)])
-        term = nn.gram_contrast(graph.unit, graph.sims.data[np.ix_(rows, cols)],
+        term = nn.gram_contrast(graph.unit, graph.sims.data,
                                 (np.arange(n) + n)[:, None], negatives,
                                 1.0 / temperature, block=(rows, cols))
         total = add(total, term)

@@ -6,6 +6,7 @@ import logging
 import os
 import subprocess
 import sys
+import warnings
 from dataclasses import asdict
 from pathlib import Path
 
@@ -16,7 +17,7 @@ import glc
 from glc import cli
 from glc.cli import (DEFAULTS, config_hash, exit_code, load_config, main,
                      parse_synthetic_spec, resolved_cell_config, run_cell)
-from glc.config import Config
+from glc.config import ABLATIONS, Config
 from glc.data import load_dataset, make_synthetic, save_dataset
 from glc.errors import (ConfigError, DataFormatError, NumericError,
                         ShapeError, TrainingAborted)
@@ -251,21 +252,29 @@ def test_train_with_one_shared_synthetic_width(tmp_path, fast_cfg):
     ("ablate", {"settings": ["noise", "combined", "noise"]}, []),
     # distinct names but shared seeds: seeds take the rate to 6 decimals
     ("sweep", {}, ["--rates", "1e-7,2e-7"]),
-    # grids ablate would not read
+    # grids ablate, train and prepare would not read
     ("ablate", {"rates": [0.1, 0.5]}, []),
     ("ablate", {"ablations": ["rec"]}, []),
+    ("train", {"rates": [0.1, 0.5]}, []),
+    ("train", {"settings": ["noise"]}, []),
+    ("train", {"ablations": ["rec"]}, []),
+    ("prepare", {"rates": [0.1, 0.5]}, []),
+    ("prepare", {"settings": ["noise"]}, []),
+    ("prepare", {"ablations": ["rec"]}, []),
 ])
 def test_bad_config_exits_1_before_any_cell(tmp_path, command, config, extra):
     # run as a process, so an uncaught exception would show as a traceback
     path = tmp_path / "c.json"
     path.write_text(json.dumps(config))
     out = tmp_path / "out"
-    proc = _run_cli(command, "--dataset", SPEC, "--profile", "desk",
+    # prepare takes no training flag
+    profile = [] if command == "prepare" else ["--profile", "desk"]
+    proc = _run_cli(command, "--dataset", SPEC, *profile,
                     "--config", str(path), "--out", str(out), *extra)
     assert proc.returncode == 1, proc.stderr
     assert proc.stderr.startswith("config error:")
     assert proc.stderr.count("\n") == 1
-    assert not (out / "cells").exists()
+    assert not out.exists()
 
 
 def _run_cli(*argv):
@@ -289,6 +298,84 @@ def test_ablate_names_the_grid_key_it_would_not_read(tmp_path, fast_cfg,
                  "--config", str(path), "--out", str(tmp_path / "o")]) == 1
     assert f"'{key}'" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("extra, config, settings", [
+    (["--setting", "noise"], {}, ["noise"]),
+    ([], {}, ["incomplete", "noise", "combined"]),
+    ([], {"setting": "clean"}, ["clean"]),
+    # settings wins over setting
+    (["--setting", "noise"], {"settings": ["combined", "incomplete"]},
+     ["combined", "incomplete"]),
+])
+def test_ablate_runs_the_settings_it_is_given(tmp_path, monkeypatch, extra,
+                                             config, settings):
+    ran = []
+
+    def run_cells(cfg, cells, out_root):
+        ran.extend(cells)
+        return [{"error": {"exit_code": 1}} for _ in cells], 0
+
+    monkeypatch.setattr(cli, "_run_cells", run_cells)
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(config))
+    assert main(["ablate", "--dataset", SPEC, "--config", str(path),
+                 "--rate", "0.3", "--out", str(tmp_path / "o"), *extra]) == 0
+    assert ran == [(s, 0.3, a) for s in settings for a in ABLATIONS]
+
+
+def test_an_unset_setting_keeps_every_cell_config_and_hash():
+    # setting defaults to unset and resolves to clean; the cells' configs
+    # and hashes are those of a default of clean
+    assert DEFAULTS["setting"] is None
+    cfg = Config.from_dict(dict(DEFAULTS, dataset=SPEC))
+    assert cfg.resolved().setting == "clean"
+    for setting, want in (("noise", "8b2ef823a387ea6a"),
+                          ("clean", "fbbef2268e2e77d2")):
+        cell = resolved_cell_config(cfg, setting, 0.3, "full")
+        assert cell["setting"] == setting
+        assert config_hash(cell) == want
+
+
+@pytest.mark.parametrize("key", ["lr", "noise_std"])
+def test_a_numerical_abort_prints_one_line(tmp_path, fast_cfg, key):
+    # both overflow in numpy first; its RuntimeWarnings are not printed
+    cfg = {**json.loads(Path(fast_cfg).read_text()), key: 1e300}
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(cfg))
+    proc = _run_cli("train", "--dataset", SPEC, "--profile", "desk",
+                    "--setting", "noise", "--rate", "0.5",
+                    "--config", str(path), "--out", str(tmp_path / "o"))
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stderr.startswith("numerical abort:")
+    assert proc.stderr.count("\n") == 1
+
+
+def test_warnings_of_a_successful_command_are_logged_one_line_each(
+        tmp_path, monkeypatch, caplog):
+    def warn_twice(cfg):
+        warnings.warn("first", UserWarning)
+        warnings.warn("second", UserWarning)
+        return 0
+
+    monkeypatch.setattr(cli, "cmd_prepare", warn_twice)
+    with caplog.at_level(logging.WARNING, logger="glc.cli"):
+        assert main(["prepare", "--dataset", SPEC]) == 0
+    assert [r.levelname for r in caplog.records] == ["WARNING"] * 2
+    assert [r.getMessage().split(": ", 1)[1] for r in caplog.records] == [
+        "UserWarning: first", "UserWarning: second"]
+    assert all("\n" not in r.getMessage() for r in caplog.records)
+
+
+def test_a_runtime_warning_still_fails_a_test_of_main(monkeypatch):
+    # pyproject.toml makes a RuntimeWarning an error; main records warnings
+    # without touching that filter
+    def overflow(cfg):
+        return int(np.float64(1e300) * 1e300 > 0)
+
+    monkeypatch.setattr(cli, "cmd_prepare", overflow)
+    with pytest.raises(RuntimeWarning):
+        main(["prepare", "--dataset", SPEC])
 
 
 # ---------------------------------------------------------------------------

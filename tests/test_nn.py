@@ -428,10 +428,11 @@ def _square_sets(n, rng):
 
 
 def _gram_case(form, n, rng):
-    """Unit rows, their partner sets and the Gram block the node is given:
-    the global term's square block with its diagonal pinned to 1, the block
-    of the first n/2 rows against all, or a view pair's block of three
-    scattered rows against [those rows; three others]."""
+    """Unit rows, their partner sets, the n x n similarities the node is
+    given and the block it reads: all of them with the diagonal pinned to
+    1, the block of the first n/2 rows against all, or a view pair's block
+    of three scattered rows against [those rows; three others].  Outside a
+    block the similarities are NaN, so reading there would show."""
     x = rng.normal(size=(n, 4))
     unit = x / np.linalg.norm(x, axis=1, keepdims=True)
     if form == "square":
@@ -443,8 +444,10 @@ def _gram_case(form, n, rng):
     else:
         rows = np.array([7, 2, 9])
         cols = np.concatenate([rows, [0, 11, 4]])
-    return (unit, *_cross_view_mask(len(rows)), unit[rows] @ unit[cols].T,
-            (rows, cols))
+    sims = np.full((n, n), np.nan)
+    # the block as the chain forms it, from the gathered rows
+    sims[np.ix_(rows, cols)] = unit[rows] @ unit[cols].T
+    return unit, *_cross_view_mask(len(rows)), sims, (rows, cols)
 
 
 @pytest.mark.parametrize("include", [False, True])
@@ -487,19 +490,51 @@ def test_gram_contrast_is_byte_equal_to_the_matmul_chain(form, upstream,
 
 
 def test_gram_contrast_checks_the_block_shape():
+    # the node takes the whole Gram matrix and gathers a block itself
     unit = Tensor(np.eye(4))
     positives, negatives = _cross_view_mask(2)
     block = (np.array([0, 1]), np.arange(4))
-    nn.gram_contrast(unit, np.eye(2, 4), positives, negatives, 1.0,
-                     block=block)
+    nn.gram_contrast(unit, np.eye(4), positives, negatives, 1.0, block=block)
+    # a pre-gathered block, a matrix of another size or a non-square one
+    for sims in (np.eye(2, 4), np.eye(5), np.eye(4, 5)):
+        with pytest.raises(ShapeError):
+            nn.gram_contrast(unit, sims, positives, negatives, 1.0,
+                             block=block)
+    with pytest.raises(ShapeError):         # no block: the sets need 4 rows
+        nn.gram_contrast(unit, np.eye(4), positives, negatives, 1.0)
     with pytest.raises(ShapeError):
-        nn.gram_contrast(unit, np.eye(2, 3), positives, negatives, 1.0,
-                         block=block)
-    with pytest.raises(ShapeError):         # a block needs its rows and columns
-        nn.gram_contrast(unit, np.eye(2, 4), positives, negatives, 1.0)
-    with pytest.raises(ShapeError):
-        nn.gram_contrast(Tensor(np.ones(4)), np.eye(2, 4), positives,
+        nn.gram_contrast(Tensor(np.ones(4)), np.eye(4), positives,
                          negatives, 1.0, block=block)
+
+
+@pytest.mark.parametrize("blocked", [False, True])
+def test_gram_contrast_keeps_neither_the_similarities_nor_the_block(
+        monkeypatch, blocked):
+    rng = np.random.default_rng(32)
+    t = Tensor(rng.normal(size=(8, 3)))
+    tape = Tape()
+    tape.watch(t)
+    sims = t.data @ t.data.T
+    if blocked:
+        positives, negatives = _cross_view_mask(4)
+        block = (np.arange(4), np.arange(8))
+    else:
+        (positives, negatives), block = _square_sets(8, rng), None
+    read = []
+    contrast = nn._contrast
+
+    def spy(x, *args):
+        # x is what the node reads: the gathered block, or sims itself
+        read.append(weakref.ref(x))
+        return contrast(x, *args)
+
+    monkeypatch.setattr(nn, "_contrast", spy)
+    node = nn.gram_contrast(t, sims, positives, negatives, 2.0, block=block)
+    probes = [weakref.ref(sims), *read]
+    assert len(probes) == 2 and (probes[0]() is probes[1]()) != blocked
+    del sims
+    assert [probe() for probe in probes] == [None, None]
+    assert backward(tape, mul(node, 0.5))[t].shape == (8, 3)
 
 
 def _saved_arrays(fn):
@@ -524,7 +559,7 @@ def test_backward_frees_what_a_node_saved_once_it_is_swept():
     tape.watch(t)
     positives, mask = _cross_view_mask(4)
     block = (np.arange(4), np.arange(8))
-    node = nn.gram_contrast(t, t.data[:4] @ t.data.T, positives, mask, 2.0,
+    node = nn.gram_contrast(t, t.data @ t.data.T, positives, mask, 2.0,
                             block=block)
     loss = mul(node, 0.5)
     (softmax,) = [a for a in _saved_arrays(node._vjp) if a.shape == (4, 6)]
@@ -766,8 +801,8 @@ def test_grad_check_mlp_loss():
 def test_adam_zero_gradient_is_noop():
     p = Tensor(np.array([1.0, -2.0, 3.0]))
     before = p.data.copy()
-    state = AdamState.for_params([p])
-    adam_step(state, [p], [np.zeros(3)])
+    state = AdamState([p])
+    adam_step(state, [np.zeros(3)])
     np.testing.assert_array_equal(p.data, before)
 
 
@@ -775,28 +810,28 @@ def test_adam_first_step_magnitude():
     # bias correction makes the very first update exactly lr * sign(grad)
     # up to the epsilon term
     p = Tensor(np.array([1.0]))
-    state = AdamState.for_params([p], learning_rate=1e-3)
-    adam_step(state, [p], [np.array([1.0])])
+    state = AdamState([p], learning_rate=1e-3)
+    adam_step(state, [np.array([1.0])])
     np.testing.assert_allclose(p.data, [0.999], atol=1e-8)
 
 
 def test_adam_repeated_steps_decrease_parameter():
     p = Tensor(np.array([1.0]))
-    state = AdamState.for_params([p], learning_rate=1e-3)
+    state = AdamState([p], learning_rate=1e-3)
     values = [float(p.data[0])]
     for _ in range(5):
-        adam_step(state, [p], [np.array([1.0])])
+        adam_step(state, [np.array([1.0])])
         values.append(float(p.data[0]))
     assert all(b < a for a, b in zip(values, values[1:]))
 
 
 def test_adam_accepts_backward_dict():
     p = Tensor(np.array([2.0]))
-    state = AdamState.for_params([p], learning_rate=0.1)
+    state = AdamState([p], learning_rate=0.1)
     tape = Tape()
     tape.watch(p)
     grads = backward(tape, tsum(mul(p, p)))
-    adam_step(state, [p], grads)
+    adam_step(state, grads)
     assert p.data[0] < 2.0
 
 
@@ -805,21 +840,40 @@ def test_adam_shape_mismatch_rejected():
     # or step count is touched before every shape has been checked
     a = Tensor(np.zeros(2))
     b = Tensor(np.zeros(3))
-    state = AdamState.for_params([a, b])
+    state = AdamState([a, b])
     with pytest.raises(ShapeError):
-        adam_step(state, [a, b], [np.ones(2), np.ones(4)])
+        adam_step(state, [np.ones(2), np.ones(4)])
     assert state.step == 0
     for arr in [a.data, b.data, *state.first_moment, *state.second_moment]:
         np.testing.assert_array_equal(arr, 0.0)
 
 
-def _oracle_adam_step(state, params, grads):
+def test_adam_update_refuses_a_tensor_it_does_not_hold():
+    # a tensor the state does not hold is refused before anything changes,
+    # even one of a held parameter's shape, or one wrapping its very array
+    rng = np.random.default_rng(33)
+    a, b = Tensor(rng.normal(size=(3, 2))), Tensor(rng.normal(size=4))
+    state = AdamState([a, b])
+    adam_step(state, [np.ones((3, 2)), np.ones(4)])
+    arrays = [a.data, b.data, *state.first_moment, *state.second_moment]
+    before = [arr.tobytes() for arr in arrays]
+    state.start()
+    for foreign in (Tensor(a.data.copy()), Tensor(a.data)):
+        with pytest.raises(ShapeError, match="does not hold"):
+            state.update(foreign, np.ones((3, 2)))
+    with pytest.raises(ShapeError):         # one gradient for two parameters
+        adam_step(state, [np.ones((3, 2))])
+    assert state.step == 2
+    assert [arr.tobytes() for arr in arrays] == before
+
+
+def _oracle_adam_step(state, grads):
     """The whole-array Adam update ``adam_step`` must match bit for bit."""
     state.step += 1
     bias1 = 1.0 - ADAM_BETA1 ** state.step
     bias2 = 1.0 - ADAM_BETA2 ** state.step
-    for p, m, v, g in zip(params, state.first_moment, state.second_moment,
-                          grads):
+    for p, m, v, g in zip(state.params, state.first_moment,
+                          state.second_moment, grads):
         m *= ADAM_BETA1
         m += (1.0 - ADAM_BETA1) * g
         v *= ADAM_BETA2
@@ -829,11 +883,15 @@ def _oracle_adam_step(state, params, grads):
         p.data -= state.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
 
-def _assert_same_adam(state, params, ref_state, ref_params):
+def _assert_same_adam(state, ref_state, part=slice(None)):
+    """``state`` equals the parameters and moments ``part`` of
+    ``ref_state``, and its step count."""
     assert state.step == ref_state.step
-    pairs = [(p.data, q.data) for p, q in zip(params, ref_params)]
-    pairs += list(zip(state.first_moment, ref_state.first_moment))
-    pairs += list(zip(state.second_moment, ref_state.second_moment))
+    assert len(state.params) == len(ref_state.params[part])
+    pairs = [(p.data, q.data)
+             for p, q in zip(state.params, ref_state.params[part])]
+    pairs += list(zip(state.first_moment, ref_state.first_moment[part]))
+    pairs += list(zip(state.second_moment, ref_state.second_moment[part]))
     for got, want in pairs:
         assert np.array_equal(got, want)
 
@@ -844,8 +902,8 @@ def test_adam_is_bit_identical_to_the_whole_array_formula():
               (37, 4000)]
     params = [Tensor(rng.normal(size=s)) for s in shapes]
     ref_params = [Tensor(p.data.copy()) for p in params]
-    state = AdamState.for_params(params, learning_rate=1e-2)
-    ref_state = AdamState.for_params(ref_params, learning_rate=1e-2)
+    state = AdamState(params, learning_rate=1e-2)
+    ref_state = AdamState(ref_params, learning_rate=1e-2)
     for step in range(4):
         grads = []
         for s in shapes:
@@ -854,9 +912,9 @@ def test_adam_is_bit_identical_to_the_whole_array_formula():
                 grads.append(rng.normal(size=s[::-1]).T)
             else:
                 grads.append(rng.normal(size=s) * 10.0 ** step)
-        adam_step(state, params, grads)
-        _oracle_adam_step(ref_state, ref_params, grads)
-        _assert_same_adam(state, params, ref_state, ref_params)
+        adam_step(state, grads)
+        _oracle_adam_step(ref_state, grads)
+        _assert_same_adam(state, ref_state)
 
 
 def test_adam_backward_dict_is_bit_identical_to_the_whole_array_formula():
@@ -864,26 +922,25 @@ def test_adam_backward_dict_is_bit_identical_to_the_whole_array_formula():
     # the 2000 x 40 weight is walked in blocks, its gradient a transposed view
     net = Mlp.create([40, 2000, 3], rng)
     ref_params = [Tensor(p.data.copy()) for p in net.parameters()]
-    state = AdamState.for_params(net.parameters())
-    ref_state = AdamState.for_params(ref_params)
+    state = AdamState(net.parameters())
+    ref_state = AdamState(ref_params)
     for _ in range(3):
         tape = Tape()
         out = mlp_forward(net, rng.normal(size=(16, 40)), tape=tape)
         grads = backward(tape, tsum(mul(out, out)))
-        _oracle_adam_step(ref_state, ref_params,
-                          [grads[p] for p in net.parameters()])
-        adam_step(state, net.parameters(), grads)
-        _assert_same_adam(state, net.parameters(), ref_state, ref_params)
+        _oracle_adam_step(ref_state, [grads[p] for p in net.parameters()])
+        adam_step(state, grads)
+        _assert_same_adam(state, ref_state)
 
 
 def test_adam_allocates_no_parameter_sized_temporary():
     rng = np.random.default_rng(9)
     p = Tensor(rng.normal(size=(2000, 1000)))
-    state = AdamState.for_params([p])
+    state = AdamState([p])
     grad = rng.normal(size=(1000, 2000)).T
     tracemalloc.start()
     try:
-        adam_step(state, [p], [grad])
+        adam_step(state, [grad])
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -893,13 +950,13 @@ def test_adam_allocates_no_parameter_sized_temporary():
 def test_adam_converges_on_quadratic():
     # sanity: minimizing (x - 3)^2 walks x to 3
     p = Tensor(np.array([0.0]))
-    state = AdamState.for_params([p], learning_rate=0.05)
+    state = AdamState([p], learning_rate=0.05)
     for _ in range(500):
         tape = Tape()
         tape.watch(p)
         err = sub(p, 3.0)
         grads = backward(tape, tsum(mul(err, err)))
-        adam_step(state, [p], grads)
+        adam_step(state, grads)
     np.testing.assert_allclose(p.data, [3.0], atol=1e-3)
 
 
@@ -946,8 +1003,8 @@ def _logging_updates(handed, segments):
 
 def _adam_updates(groups, **kwargs):
     """An Adam state per parameter group and its one-parameter update."""
-    states = [AdamState.for_params(ps, **kwargs) for ps in groups]
-    return states, [st.by_param(ps) for st, ps in zip(states, groups)]
+    states = [AdamState(ps, **kwargs) for ps in groups]
+    return states, [st.update for st in states]
 
 
 def test_segments_on_a_pool_are_bit_identical_to_one_plain_tape():
@@ -958,7 +1015,7 @@ def test_segments_on_a_pool_are_bit_identical_to_one_plain_tape():
     groups = [net.parameters() for net in nets]
     ref_params = [p for ref in refs for p in ref.parameters()]
     states, updates = _adam_updates(groups, learning_rate=1e-2)
-    ref_state = AdamState.for_params(ref_params, learning_rate=1e-2)
+    ref_state = AdamState(ref_params, learning_rate=1e-2)
     # switch threads as often as possible, so a race would show
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -976,16 +1033,13 @@ def test_segments_on_a_pool_are_bit_identical_to_one_plain_tape():
                 assert backward(tape, loss, updates) == {}
                 tape = Tape()
                 loss = _joined_loss(refs, xs, tape, segmented=False)
-                adam_step(ref_state, ref_params, backward(tape, loss))
+                adam_step(ref_state, backward(tape, loss))
     finally:
         sys.setswitchinterval(interval)
     assert not _glc_threads()
     sizes = [0, len(groups[0]), len(ref_params)]
-    for state, ps, lo, hi in zip(states, groups, sizes, sizes[1:]):
-        part = AdamState(step=ref_state.step,
-                         first_moment=ref_state.first_moment[lo:hi],
-                         second_moment=ref_state.second_moment[lo:hi])
-        _assert_same_adam(state, ps, part, ref_params[lo:hi])
+    for state, lo, hi in zip(states, sizes, sizes[1:]):
+        _assert_same_adam(state, ref_state, slice(lo, hi))
 
 
 def test_segments_record_like_one_tape_in_call_order():
@@ -1076,11 +1130,11 @@ def test_adam_step_keeps_its_contract_inside_the_helper():
     # raises before anything changes
     a = Tensor(np.zeros((_BIG, _BIG)))
     b = Tensor(np.zeros(3))
-    state = AdamState.for_params([a, b])
+    state = AdamState([a, b])
 
     def bad_update(param, grad):
         # on the first hand-off: a's gradient is good, b's has a wrong shape
-        adam_step(state, [a, b], [np.ones(a.shape), np.ones(4)])
+        adam_step(state, [np.ones(a.shape), np.ones(4)])
 
     with segment_pool([a, b], 1) as pool:
         tape = Tape(pool)
@@ -1190,8 +1244,8 @@ def test_backward_hands_off_each_parameter_once_after_its_last_consumer():
 def test_a_bad_hand_off_raises_after_earlier_parameters_were_updated():
     a = Tensor(np.zeros(2))
     b = Tensor(np.zeros(3))
-    state = AdamState.for_params([a, b])
-    update = state.by_param([a, b])
+    state = AdamState([a, b])
+    update = state.update
 
     def wrong_for_a(param, grad):
         update(param, np.ones(4) if param is a else grad)

@@ -342,7 +342,7 @@ def test_desk_training_starts_no_thread(monkeypatch):
 
 
 @pytest.mark.parametrize("joint, alpha, beta, heads_run", [
-    (False, 1.0, 1.0, False),       # the warm-up
+    (False, 1.0, 1.0, False),       # the warm-up steps at alpha = beta = 0
     (True, 0.0, 0.0, False),        # a rec row's joint phase
     (True, 1.0, 0.0, True),
     (True, 0.0, 1.0, True),
@@ -350,35 +350,34 @@ def test_desk_training_starts_no_thread(monkeypatch):
 def test_a_step_runs_the_heads_only_for_a_contrastive_term(
         monkeypatch, joint, alpha, beta, heads_run):
     ds = _tiny_dataset(seed=15)
-    cfg = _desk_config(alpha=alpha, beta=beta).resolved()
+    cfg = _desk_config(alpha=alpha, beta=beta, pretrain_epochs=1,
+                       epochs=1).resolved()
     model = build_model(ds, cfg)
     heads = {id(p) for view in model for p in view.head.parameters()}
-    tapes = []
+    tapes, handed = [], []
     real = pipeline.backward
 
     def keep_tape(tape, loss, updates=None):
+        # every view's update logs the parameters handed to it
         tapes.append(tape)
-        return real(tape, loss, updates)
+        return real(tape, loss, [
+            lambda param, grad, update=update: (handed.append(id(param)),
+                                                update(param, grad))
+            for update in updates])
 
     monkeypatch.setattr(pipeline, "backward", keep_tape)
-    views = [view.parameters() for view in model]
-    states = [nn.AdamState.for_params(p, learning_rate=cfg.lr) for p in views]
-    handed = []
-
-    def logging(update):
-        return lambda param, grad: (handed.append(id(param)),
-                                    update(param, grad))
-
-    updates = [logging(state.by_param(params))
-               for state, params in zip(states, views)]
-    batch = next(iter_epoch(ds, cfg.batch, np.random.default_rng(0)))
     before = [p.data.copy() for view in model for p in view.head.parameters()]
-    pipeline._step(model, batch, cfg, None, states, updates, joint, 1, 0)
-    (tape,) = tapes
-    consumed = {id(parent) for node in tape._nodes for parent in node._parents}
-    assert bool(heads & consumed) == heads_run
+    pipeline._run_phase(model, ds, cfg, None,
+                        "train" if joint else "pretrain")
+    # 24 samples in batches of 16: two steps
+    assert len(tapes) == 2
+    for tape in tapes:
+        consumed = {id(parent) for node in tape._nodes
+                    for parent in node._parents}
+        assert bool(heads & consumed) == heads_run
     assert bool(heads & set(handed)) == heads_run
-    assert len(handed) == sum(map(len, views)) - (0 if heads_run else len(heads))
+    params = sum(len(view.parameters()) for view in model)
+    assert len(handed) == 2 * (params - (0 if heads_run else len(heads)))
     if not heads_run:
         after = [p.data for view in model for p in view.head.parameters()]
         assert all(a.tobytes() == b.tobytes() for a, b in zip(before, after))
@@ -405,10 +404,13 @@ def test_a_desk_step_records_its_node_census(monkeypatch, joint, census):
     # gate 6's combined cell: per view 3 encoder, 3 decoder and 2 head
     # layers; one reconstruction node over the views; one stack of unit
     # rows, read by the global term and each view pair's term; one sum of
-    # the pair terms and one of the objective's terms; with alpha = 0 the
-    # graph is built but no pair selected, with beta = 0 no pair term runs
-    overrides = joint if isinstance(joint, dict) else {}
-    joint = bool(joint)
+    # the pair terms and one of the objective's terms; the warm-up is the
+    # step at alpha = beta = 0; with alpha = 0 alone the graph is built but
+    # no pair selected, with beta = 0 no pair term runs
+    if isinstance(joint, dict):
+        overrides = joint
+    else:
+        overrides = {} if joint else {"alpha": 0.0, "beta": 0.0}
     settings = {"profile": "desk", "seed": 4, "batch": 256,
                 "dataset": "synthetic:n=300,v=3,k=3,dims=20|20|20,sep=1.0"}
     cfg = Config(**{**settings, **overrides}).resolved()
@@ -429,13 +431,11 @@ def test_a_desk_step_records_its_node_census(monkeypatch, joint, census):
     monkeypatch.setattr(pipeline, "backward", count)
     monkeypatch.setattr(pipeline, "select_pairs",
                         lambda *a: selected.append(1) or select(*a))
-    views = [view.parameters() for view in model]
-    states = [nn.AdamState.for_params(p, learning_rate=cfg.lr) for p in views]
-    updates = [state.by_param(p) for state, p in zip(states, views)]
+    states = [nn.AdamState(view.parameters(), cfg.lr) for view in model]
     batch = next(iter_epoch(ds, cfg.batch, np.random.default_rng(0)))
-    pipeline._step(model, batch, cfg, None, states, updates, joint, 1, 0)
+    pipeline._step(model, batch, cfg, None, states, 1, 0)
     assert counts == [Counter(census)]
-    assert len(selected) == (joint and cfg.alpha > 0)
+    assert len(selected) == (cfg.alpha > 0)
 
 
 def _assert_each_step_is_freed(monkeypatch, cfg):
