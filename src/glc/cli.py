@@ -35,9 +35,8 @@ from pathlib import Path
 
 from .config import (ABLATIONS, PROFILES, SETTINGS, Config,
                      parse_synthetic_spec)
-from .data import (MultiViewDataset, apply_combined, derive_seed,
-                   generate_missing_mask, inject_noise, load_dataset,
-                   make_synthetic, save_dataset)
+from .data import (apply_combined, derive_seed, generate_missing_mask,
+                   inject_noise, load_dataset, make_synthetic, save_dataset)
 from .errors import ConfigError, DataFormatError, GlcError, NumericError
 from .model import save_checkpoint
 from .pipeline import (ClusterReport, TrainHistory, evaluate, build_model,
@@ -51,6 +50,8 @@ SCHEMA_VERSION = 3
 DEFAULTS = asdict(Config())
 # the keys that make a grid of cells; only sweep reads all three
 GRIDS = ("rates", "settings", "ablations")
+# a cell's scores in the aggregates, in column order
+SCORES = ("acc_mean", "acc_std", "nmi_mean", "nmi_std", "ari_mean", "ari_std")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -58,6 +59,14 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message):
         raise ConfigError(message)
+
+
+def _rate_list(text):
+    """``--rates 0.1,0.3`` as a list of floats; an empty one means unset."""
+    try:
+        return [float(r) for r in text.split(",") if r != ""]
+    except ValueError as err:
+        raise argparse.ArgumentTypeError(f"bad list {text!r}: {err}") from None
 
 
 def build_parser():
@@ -92,7 +101,8 @@ def build_parser():
     p = sub.add_parser("sweep", help="grid of settings x rates")
     common(p)
     training(p)
-    p.add_argument("--rates", help="comma-separated rate list")
+    p.add_argument("--rates", type=_rate_list,
+                   help="comma-separated rate list")
 
     p = sub.add_parser("ablate", help="objective ablation rows")
     common(p)
@@ -114,12 +124,6 @@ def load_config(args):
     # every parsed flag named after a config key overrides it
     flags = {key: getattr(args, key, None) for key in DEFAULTS}
     values.update({k: v for k, v in flags.items() if v is not None})
-    rates = flags["rates"]
-    if rates is not None:
-        try:
-            values["rates"] = [float(r) for r in str(rates).split(",") if r != ""]
-        except ValueError as err:
-            raise ConfigError(f"bad --rates list {rates!r}: {err}") from err
     cfg = Config.from_dict(values)
     if cfg.dataset is None and cfg.synthetic is None:
         raise ConfigError("a dataset (path or synthetic spec) is required")
@@ -150,11 +154,8 @@ def corrupt_dataset(dataset, setting, rate, noise_std, seed):
         return dataset
     protocol_seed = derive_seed(seed, "protocol", setting, f"{rate:.6f}")
     if setting == "incomplete":
-        mask = generate_missing_mask(dataset.n_samples, dataset.n_views, rate,
-                                     protocol_seed)
-        return MultiViewDataset([v.copy() for v in dataset.views], mask,
-                                dataset.labels, dataset.noise_flags,
-                                dataset.n_classes)
+        return replace(dataset, mask=generate_missing_mask(
+            dataset.n_samples, dataset.n_views, rate, protocol_seed))
     if setting == "noise":
         return inject_noise(dataset, rate, noise_std, protocol_seed)
     if setting == "combined":
@@ -312,17 +313,30 @@ def exit_code(err):
     return 1
 
 
+def _warning_lines(caught):
+    """One line per recorded warning: file, line, category and message."""
+    return [f"{Path(w.filename).name}:{w.lineno}: {w.category.__name__}: "
+            f"{w.message}" for w in caught]
+
+
 def _cell_worker(payload):
-    """Run one cell; failures are recorded, not raised (other cells go on)."""
+    """Run one cell, here or in a worker: ``(result, warning lines)``.
+
+    A failure is recorded, not raised (other cells go on), and drops the
+    cell's warnings, as :func:`main` drops a failing command's.
+    """
     cfg, setting, rate, ablation, out_dir = payload
-    try:
-        return run_cell(cfg, setting, rate, ablation, out_dir=out_dir)
-    except (GlcError, OSError) as err:
-        logger.error("cell (%s, %s, %s) failed: %s", setting, rate, ablation, err)
-        return {"schema_version": SCHEMA_VERSION,
-                "config": resolved_cell_config(cfg, setting, rate, ablation),
-                "error": {"type": type(err).__name__, "message": str(err),
-                          "exit_code": exit_code(err)}}
+    with warnings.catch_warnings(record=True) as caught:
+        try:
+            result = run_cell(cfg, setting, rate, ablation, out_dir=out_dir)
+        except (GlcError, OSError) as err:
+            logger.error("cell (%s, %s, %s) failed: %s", setting, rate,
+                         ablation, err)
+            return {"schema_version": SCHEMA_VERSION,
+                    "config": resolved_cell_config(cfg, setting, rate, ablation),
+                    "error": {"type": type(err).__name__, "message": str(err),
+                              "exit_code": exit_code(err)}}, []
+    return result, _warning_lines(caught)
 
 
 def _cell_workers():
@@ -341,7 +355,8 @@ def _run_cells(cfg, cells, out_root):
     """Run (setting, rate, ablation) cells, honoring GLC_THREADS.
 
     Returns the per-cell result dicts plus the overall exit code (0 when
-    every cell succeeded, otherwise the largest per-cell code).  Cells that
+    every cell succeeded, otherwise the largest per-cell code), and logs
+    each successful cell's warnings, in cell order, one line each.  Cells that
     would share a directory (names print rates to 6 significant digits) or
     their seeds (seeds take rates to 6 decimals) are a ConfigError, raised
     before any cell starts.
@@ -359,93 +374,74 @@ def _run_cells(cfg, cells, out_root):
                      str(out_root / "cells" / name)))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=min(workers, len(jobs))) as pool:
-            results = list(pool.map(_cell_worker, jobs))
+            done = list(pool.map(_cell_worker, jobs))
     else:
-        results = [_cell_worker(job) for job in jobs]
+        done = list(map(_cell_worker, jobs))
+    results = [result for result, _ in done]
+    for line in (line for _, lines in done for line in lines):
+        logger.warning("%s", line)
     code = max((r["error"]["exit_code"] for r in results if "error" in r),
                default=0)
     return results, code
 
 
-def cmd_sweep(cfg):
+def _scores(result):
+    """A cell's scores by key; empty strings for a failed cell."""
+    if "error" in result:
+        return dict.fromkeys(SCORES, "")
+    return {k: result["results"][k] for k in SCORES}
+
+
+def _write_aggregate(cfg, name, header, rows, results, **extra):
+    """Write ``<name>.csv`` (``rows`` under ``header``) and ``<name>.json``
+    (every cell's result) to ``cfg.out``; return the CSV's lines."""
     out = Path(cfg.out)
+    out.mkdir(parents=True, exist_ok=True)
+    lines = [",".join(header)]
+    lines += [",".join(str(row[k]) for k in header) for row in rows]
+    (out / f"{name}.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _write_json(out / f"{name}.json", {"schema_version": SCHEMA_VERSION,
+                                       "master_seed": cfg.seed,
+                                       "cells": results, **extra})
+    return lines
+
+
+def cmd_sweep(cfg):
     cells = [(s, r, a) for s in cfg.settings or [cfg.resolved().setting]
              for r in cfg.rates or [cfg.rate]
              for a in cfg.ablations or [cfg.ablation]]
-    results, code = _run_cells(cfg, cells, out)
-
-    rows = []
-    for (setting, rate, ablation), result in zip(cells, results):
-        row = {"setting": setting, "rate": rate, "ablation": ablation,
-               "config_hash": result.get("config_hash", "")}
-        if "error" in result:
-            row.update({k: "" for k in ("acc_mean", "acc_std", "nmi_mean",
-                                        "nmi_std", "ari_mean", "ari_std")})
-            row["error"] = result["error"]["type"]
-        else:
-            res = result["results"]
-            row.update({k: res[k] for k in ("acc_mean", "acc_std", "nmi_mean",
-                                            "nmi_std", "ari_mean", "ari_std")})
-            row["error"] = ""
-        rows.append(row)
-    rows.sort(key=lambda r: (r["setting"], r["rate"], r["ablation"]))
-    out.mkdir(parents=True, exist_ok=True)
-    header = ["setting", "rate", "ablation", "acc_mean", "acc_std",
-              "nmi_mean", "nmi_std", "ari_mean", "ari_std", "config_hash",
-              "error"]
-    lines = [",".join(header)]
+    results, code = _run_cells(cfg, cells, Path(cfg.out))
+    rows = [{"setting": s, "rate": r, "ablation": a, **_scores(result),
+             "config_hash": result.get("config_hash", ""),
+             "error": result.get("error", {}).get("type", "")}
+            for (s, r, a), result in sorted(zip(cells, results),
+                                            key=lambda pair: pair[0])]
+    header = ["setting", "rate", "ablation", *SCORES, "config_hash", "error"]
+    _write_aggregate(cfg, "sweep", header, rows, results)
     for row in rows:
-        lines.append(",".join(str(row[k]) for k in header))
-    (out / "sweep.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
-    _write_json(out / "sweep.json", {
-        "schema_version": SCHEMA_VERSION,
-        "master_seed": cfg.seed,
-        "cells": results,
-    })
-    for row in rows:
-        if row["error"]:
-            print(f"{row['setting']:>10} rate={row['rate']:<4g} "
-                  f"{row['ablation']:<7} ERROR {row['error']}")
-        else:
-            print(f"{row['setting']:>10} rate={row['rate']:<4g} "
-                  f"{row['ablation']:<7} ACC {row['acc_mean']:.4f}  "
-                  f"NMI {row['nmi_mean']:.4f}")
+        scores = (f"ERROR {row['error']}" if row["error"] else
+                  f"ACC {row['acc_mean']:.4f}  NMI {row['nmi_mean']:.4f}")
+        print(f"{row['setting']:>10} rate={row['rate']:<4g} "
+              f"{row['ablation']:<7} {scores}")
     return code
 
 
 def cmd_ablate(cfg):
     _refuse_grids(cfg, ("rates", "ablations"),
                   "ablate runs every ablation row at one rate")
-    out = Path(cfg.out)
     settings = cfg.settings or ([cfg.setting] if cfg.setting
                                 else ["incomplete", "noise", "combined"])
     cells = [(s, cfg.rate, a) for s in settings for a in ABLATIONS]
-    results, code = _run_cells(cfg, cells, out)
-    by_key = {(s, a): r for (s, _, a), r in zip(cells, results)}
-
-    out.mkdir(parents=True, exist_ok=True)
-    header = ["ablation"]
-    for s in settings:
-        header += [f"acc_{s}", f"nmi_{s}"]
-    lines = [",".join(header)]
-    for a in ABLATIONS:
-        row = [a]
-        for s in settings:
-            result = by_key[(s, a)]
-            if "error" in result:
-                row += ["", ""]
-            else:
-                res = result["results"]
-                row += [str(res["acc_mean"]), str(res["nmi_mean"])]
-        lines.append(",".join(row))
-    (out / "ablate.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
-    _write_json(out / "ablate.json", {
-        "schema_version": SCHEMA_VERSION,
-        "master_seed": cfg.seed,
-        "rate": cfg.rate,
-        "cells": results,
-    })
-    print("\n".join(lines))
+    results, code = _run_cells(cfg, cells, Path(cfg.out))
+    # one row per ablation, an accuracy and an NMI column per setting
+    rows = {a: {"ablation": a} for a in ABLATIONS}
+    for (s, _, a), result in zip(cells, results):
+        scores = _scores(result)
+        rows[a].update({f"acc_{s}": scores["acc_mean"],
+                        f"nmi_{s}": scores["nmi_mean"]})
+    header = ["ablation"] + [f"{m}_{s}" for s in settings for m in ("acc", "nmi")]
+    print("\n".join(_write_aggregate(cfg, "ablate", header, rows.values(),
+                                     results, rate=cfg.rate)))
     return code
 
 
@@ -475,9 +471,8 @@ def main(argv=None):
         # a phase's view workers are joined by its segment_pool on the way
         print("interrupted", file=sys.stderr)
         return 130
-    for w in caught:
-        logger.warning("%s:%d: %s: %s", Path(w.filename).name, w.lineno,
-                       w.category.__name__, w.message)
+    for line in _warning_lines(caught):
+        logger.warning("%s", line)
     return code
 
 

@@ -20,7 +20,7 @@ import json
 import logging
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -121,23 +121,20 @@ def standardize_views(dataset):
     """Z-score each view's features using only its available rows.
 
     Constant features are centered and left at scale 1.  All rows are
-    transformed (unavailable entries are never read downstream).
+    transformed (unavailable entries are never read downstream).  The
+    result shares every other array with ``dataset``, like each protocol's.
     """
     views = []
     for v, x in enumerate(dataset.views):
         avail = dataset.mask[:, v] == 1
         if not avail.any():
-            views.append(x.copy())
+            views.append(x)
             continue
         mu = x[avail].mean(axis=0)
         sd = x[avail].std(axis=0)
         sd = np.where(sd > 0.0, sd, 1.0)
         views.append((x - mu) / sd)
-    return MultiViewDataset(
-        views, dataset.mask.copy(),
-        None if dataset.labels is None else dataset.labels.copy(),
-        None if dataset.noise_flags is None else dataset.noise_flags.copy(),
-        dataset.n_classes)
+    return replace(dataset, views=views)
 
 
 # ---------------------------------------------------------------------------
@@ -160,18 +157,13 @@ def _read_matrix(path, dtype=np.float64):
 
 
 def write_matrix(path, arr):
-    """Write a float matrix as headerless CSV with round-trip precision."""
+    """Write a matrix as headerless CSV: integer and boolean cells as
+    integers, any other with round-trip float precision."""
     arr = np.asarray(arr)
+    cell = int if arr.dtype.kind in "biu" else float
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         for row in arr:
-            fh.write(",".join(repr(float(x)) for x in row))
-            fh.write("\n")
-
-
-def _write_int_matrix(path, arr):
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for row in np.asarray(arr):
-            fh.write(",".join(str(int(x)) for x in row))
+            fh.write(",".join(repr(cell(x)) for x in row))
             fh.write("\n")
 
 
@@ -210,12 +202,9 @@ def read_manifest(root):
     return manifest
 
 
-def load_dataset(path, standardize=None):
-    """Load a dataset directory.
-
-    ``standardize`` overrides the manifest flag when given; the default is
-    the manifest's ``standardize`` field, or true when absent.
-    """
+def load_dataset(path):
+    """Load a dataset directory, standardized unless its manifest says
+    ``standardize: false``."""
     root = Path(path)
     manifest = read_manifest(root)
     n_views = manifest["n_views"]
@@ -258,10 +247,7 @@ def load_dataset(path, standardize=None):
 
     n_classes = manifest.get("n_classes", manifest.get("K"))
     dataset = MultiViewDataset(views, mask, labels, noise_flags, n_classes)
-
-    if standardize is None:
-        standardize = manifest.get("standardize", True)
-    if standardize:
+    if manifest.get("standardize", True):
         dataset = standardize_views(dataset)
     return dataset
 
@@ -285,13 +271,12 @@ def save_dataset(dataset, path):
     }
     for v, x in enumerate(dataset.views):
         write_matrix(root / f"view_{v}.csv", x)
-    _write_int_matrix(root / "mask.csv", dataset.mask)
+    write_matrix(root / "mask.csv", dataset.mask)
     if dataset.labels is not None:
-        _write_int_matrix(root / "labels.csv", dataset.labels[:, None])
+        write_matrix(root / "labels.csv", dataset.labels[:, None])
         manifest["labels"] = "labels.csv"
     if dataset.noise_flags is not None:
-        _write_int_matrix(root / "noise_flags.csv",
-                          dataset.noise_flags.astype(np.uint8))
+        write_matrix(root / "noise_flags.csv", dataset.noise_flags)
         manifest["noise_flags"] = "noise_flags.csv"
     if dataset.n_classes is not None:
         manifest["n_classes"] = int(dataset.n_classes)
@@ -352,16 +337,15 @@ def inject_noise(dataset, rate, std, seed):
     children = _seedseq(seed).spawn(dataset.n_views + 1)
     pattern = _draw_corruption(dataset.n_samples, dataset.n_views, rate,
                                children[0])
-    views = [x.copy() for x in dataset.views]
+    views = list(dataset.views)     # a hit view is copied before it is written
     for v in range(dataset.n_views):
         rows = np.flatnonzero(pattern[:, v])
         if rows.size == 0:
             continue
         rng = np.random.default_rng(children[v + 1])
+        views[v] = views[v].copy()
         views[v][rows] += rng.normal(0.0, std, size=(rows.size, views[v].shape[1]))
-    return MultiViewDataset(views, dataset.mask.copy(),
-                            None if dataset.labels is None else dataset.labels.copy(),
-                            pattern, dataset.n_classes)
+    return replace(dataset, views=views, noise_flags=pattern)
 
 
 def apply_combined(dataset, rate, std, seed):
@@ -372,10 +356,8 @@ def apply_combined(dataset, rate, std, seed):
     """
     noise_ss, mask_ss = _seedseq(seed).spawn(2)
     noisy = inject_noise(dataset, rate, std, noise_ss)
-    mask = generate_missing_mask(dataset.n_samples, dataset.n_views, rate,
-                                 mask_ss)
-    return MultiViewDataset(noisy.views, mask, noisy.labels,
-                            noisy.noise_flags, noisy.n_classes)
+    return replace(noisy, mask=generate_missing_mask(
+        dataset.n_samples, dataset.n_views, rate, mask_ss))
 
 
 # ---------------------------------------------------------------------------

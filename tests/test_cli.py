@@ -378,6 +378,54 @@ def test_a_runtime_warning_still_fails_a_test_of_main(monkeypatch):
         main(["prepare", "--dataset", SPEC])
 
 
+def test_a_failed_sweep_cell_prints_one_line_with_any_workers(
+        tmp_path, fast_cfg, monkeypatch):
+    # the cell overflows in numpy before it aborts; its warnings are dropped
+    # whether it runs in this process or in a worker
+    cfg = {**json.loads(Path(fast_cfg).read_text()), "lr": 1e300}
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(cfg))
+    errs = []
+    for workers in ("1", "2"):
+        monkeypatch.setenv("GLC_THREADS", workers)
+        proc = _run_cli("sweep", "--dataset", SPEC, "--profile", "desk",
+                        "--setting", "noise", "--rates", "0.5",
+                        "--config", str(path),
+                        "--out", str(tmp_path / f"o{workers}"))
+        assert proc.returncode == 3, proc.stderr
+        errs.append(proc.stderr)
+    assert errs[0] == errs[1]
+    assert errs[0].startswith("ERROR __main__: cell (noise, 0.5, full) failed:")
+    assert errs[0].count("\n") == 1
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_a_sweep_cell_logs_its_warnings_once_with_any_workers(
+        tmp_path, monkeypatch, caplog, workers):
+    # a worker process is forked, so it runs the patched run_cell too
+    def warn(cfg, setting, rate, ablation, out_dir=None):
+        warnings.warn(f"cell {rate}", UserWarning)
+        return {"results": {f"{m}_{s}": 0.5 for m in ("acc", "nmi", "ari")
+                            for s in ("mean", "std")},
+                "config_hash": "0" * 16}
+
+    monkeypatch.setattr(cli, "run_cell", warn)
+    monkeypatch.setenv("GLC_THREADS", workers)
+    with caplog.at_level(logging.WARNING, logger="glc.cli"):
+        assert main(["sweep", "--dataset", SPEC, "--rates", "0.1,0.3",
+                     "--out", str(tmp_path / "o")]) == 0
+    assert [r.levelname for r in caplog.records] == ["WARNING"] * 2
+    assert [r.getMessage().split(": ", 1)[1] for r in caplog.records] == [
+        "UserWarning: cell 0.1", "UserWarning: cell 0.3"]
+
+
+def test_rates_flag_is_parsed_into_a_list():
+    parser = cli.build_parser()
+    assert parser.parse_args(["sweep", "--rates", ""]).rates == []
+    with pytest.raises(ConfigError, match="--rates"):
+        parser.parse_args(["sweep", "--rates", "0.1,abc"])
+
+
 # ---------------------------------------------------------------------------
 # prepare
 # ---------------------------------------------------------------------------

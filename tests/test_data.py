@@ -1,10 +1,13 @@
 """Dataset I/O, corruption protocols, batching and the synthetic generator."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from glc.cli import corrupt_dataset
+from glc.config import SETTINGS
 from glc.data import (MultiViewDataset, apply_combined, derive_seed,
                       generate_missing_mask, inject_noise, iter_epoch,
                       load_dataset, make_synthetic, sample_batch,
@@ -269,6 +272,28 @@ def test_corruption_purity():
             np.testing.assert_array_equal(x, y)
         np.testing.assert_array_equal(a.mask, b.mask)
         np.testing.assert_array_equal(a.noise_flags, b.noise_flags)
+
+
+def test_protocols_leave_their_input_unchanged():
+    # derived datasets share the arrays they do not write with their input,
+    # so a protocol writing one in place would show here
+    ds = inject_noise(_toy_dataset(n=40, v=3, seed=7), 0.5, 0.4, 3)
+    ds = replace(ds, mask=generate_missing_mask(40, 3, 0.2, 4))
+
+    def arrays(d):
+        return [a.tobytes() for a in (*d.views, d.mask, d.labels,
+                                      d.noise_flags)]
+
+    before = arrays(ds)
+    derived = {"standardize": standardize_views(ds),
+               "noise": inject_noise(ds, 0.5, 0.4, 5),
+               "combined": apply_combined(ds, 0.5, 0.4, 6)}
+    derived.update({f"cli {setting}": corrupt_dataset(ds, setting, 0.5, 0.4, 8)
+                    for setting in SETTINGS})
+    assert arrays(ds) == before
+    for name, out in derived.items():
+        assert np.shares_memory(out.labels, ds.labels), name
+        assert (arrays(out) == before) == (name == "cli clean"), name
 
 
 # ---------------------------------------------------------------------------
